@@ -9,13 +9,14 @@
 //! * an 8-worker [`EnclavePool`] amortizes verification: `install_all`
 //!   runs the pipeline exactly **once** per unique code hash and replays
 //!   the captured image into the other workers, versus 8 independent
-//!   pipeline runs for `install_all_independent`.
+//!   pipeline runs on standalone enclaves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deflection_core::consumer::{load, verify_with_layout_threaded};
 use deflection_core::policy::{Manifest, PolicySet};
 use deflection_core::pool::EnclavePool;
 use deflection_core::producer::produce_for_layout;
+use deflection_core::runtime::BootstrapEnclave;
 use deflection_sgx_sim::layout::{EnclaveLayout, MemConfig};
 use deflection_sgx_sim::mem::Memory;
 use deflection_workloads::nbench;
@@ -113,9 +114,15 @@ fn print_table() {
     // same steady state (the first pool construction is dominated by cold
     // memory-map setup, not by verification), then take best-of-3 over
     // fresh pools for each strategy.
-    let mut warmup = EnclavePool::new(&layout, &manifest, POOL_WORKERS);
-    warmup.install_all_independent(&binary).expect("verifies");
-    drop(warmup);
+    // One full pipeline run per worker on its own enclave: what a pool
+    // without the install cache would pay.
+    let install_independently = || {
+        for _ in 0..POOL_WORKERS {
+            let mut enclave = BootstrapEnclave::new(layout.clone(), manifest.clone());
+            enclave.install_plain(&binary).expect("verifies");
+        }
+    };
+    install_independently();
 
     let mut t_cached = Duration::MAX;
     for _ in 0..3 {
@@ -135,11 +142,9 @@ fn print_table() {
 
     let mut t_indep = Duration::MAX;
     for _ in 0..3 {
-        let mut independent = EnclavePool::new(&layout, &manifest, POOL_WORKERS);
         let start = Instant::now();
-        independent.install_all_independent(&binary).expect("verifies");
+        install_independently();
         t_indep = t_indep.min(start.elapsed());
-        assert_eq!(independent.verification_count(), POOL_WORKERS);
     }
 
     println!("=== Install-cache amortization ({POOL_WORKERS}-worker pool, IDEA) ===\n");
@@ -187,27 +192,11 @@ fn bench(c: &mut Criterion) {
         m.policy = policy;
         m
     };
-    c.bench_function("parallel_verify/pool/install_all_cached", {
-        let binary = binary.clone();
-        let manifest = manifest.clone();
-        let layout = layout.clone();
-        move |b| {
-            b.iter(|| {
-                let mut pool = EnclavePool::new(&layout, &manifest, POOL_WORKERS);
-                pool.install_all(&binary).expect("verifies")
-            })
-        }
-    });
-    c.bench_function("parallel_verify/pool/install_all_independent", {
-        let binary = binary.clone();
-        let manifest = manifest.clone();
-        let layout = layout.clone();
-        move |b| {
-            b.iter(|| {
-                let mut pool = EnclavePool::new(&layout, &manifest, POOL_WORKERS);
-                pool.install_all_independent(&binary).expect("verifies")
-            })
-        }
+    c.bench_function("parallel_verify/pool/install_all_cached", move |b| {
+        b.iter(|| {
+            let mut pool = EnclavePool::new(&layout, &manifest, POOL_WORKERS);
+            pool.install_all(&binary).expect("verifies")
+        })
     });
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's Fig. 10 measures a 200-connection HTTPS server; the
 //! ROADMAP north-star is a production-scale serving system. This bench
-//! drives the real admission frontend (bounded queue, adaptive batching,
+//! drives the real admission frontend (bounded queue, batching,
 //! typed shedding) over a **mixed multi-tenant workload** — https,
 //! credit scoring, genome sequence generation, two nBench kernels and
 //! the stateful KV session service — then replays the measured per-class
@@ -33,7 +33,6 @@ fn sim_config(mix: Vec<MixEntry>, arrival: Arrival, total: usize) -> ServingConf
         // envelope (see DESIGN.md §5k).
         high_water: 64,
         batch_max: 32,
-        batch_wait_us: 500,
         seed: 23,
     }
 }

@@ -124,10 +124,9 @@ pub struct ServingConfig {
     /// Queue depth at which new arrivals are shed
     /// ([`crate::queueing::ServingResult::shed`] counts them).
     pub high_water: usize,
-    /// Largest batch the dispatcher serves at once.
+    /// Largest batch the dispatcher serves at once; it never waits for a
+    /// batch to fill.
     pub batch_max: usize,
-    /// How long a partial batch waits to fill (µs).
-    pub batch_wait_us: u64,
     /// DRBG seed — equal configs and seeds give bit-equal results.
     pub seed: u64,
 }
@@ -152,15 +151,15 @@ pub struct ServingResult {
     /// `shed / (shed + completed)`.
     pub shed_rate: f64,
     /// Mean formed-batch size — ≈1 under a trickle, → `batch_max` under
-    /// saturation (the adaptive-batching signature).
+    /// saturation (the queue refills while each batch is served).
     pub mean_batch: f64,
 }
 
 /// Discrete-event simulation of the admission frontend
 /// ([`deflection_core::admission::AdmissionFrontend`]) at scales the real
 /// pool cannot be driven at in CI (10⁵–10⁶ clients): bounded queue with
-/// high-water shedding, adaptive batch formation (`batch_max` /
-/// `batch_wait_us`), greedy earliest-free worker assignment (the
+/// high-water shedding, work-conserving batch formation (whatever is
+/// queued, up to `batch_max`), greedy earliest-free worker assignment (the
 /// work-stealing approximation), and a dispatcher that joins each batch
 /// before forming the next — the same barrier `serve_parallel`'s scoped
 /// threads impose. Service times come from a weighted mix measured on the
@@ -249,38 +248,6 @@ pub fn simulate_serving(cfg: &ServingConfig) -> ServingResult {
         }
         if queue.is_empty() {
             continue;
-        }
-        // Adaptive fill: wait up to `batch_wait_us` for the batch to
-        // reach `batch_max`.
-        let deadline = t_disp + cfg.batch_wait_us;
-        let mut waited = false;
-        while queue.len() < cfg.batch_max {
-            match arrivals.peek() {
-                Some(&Reverse(t)) if t <= deadline => {
-                    arrivals.pop();
-                    if let Some(rate) = open_rate {
-                        let u = drbg.next_f64();
-                        let dt = (-(1.0 - u).ln() * 1_000_000.0 / rate).ceil() as u64;
-                        arrivals.push(Reverse(t + dt.max(1)));
-                    }
-                    if queue.len() >= cfg.high_water {
-                        shed += 1;
-                        if closed_think.is_some() {
-                            arrivals.push(Reverse(t + backoff));
-                        }
-                    } else {
-                        queue.push_back(t);
-                        t_disp = t_disp.max(t);
-                    }
-                }
-                _ => {
-                    waited = true;
-                    break;
-                }
-            }
-        }
-        if waited && queue.len() < cfg.batch_max {
-            t_disp = t_disp.max(deadline);
         }
         let take = queue.len().min(cfg.batch_max);
         batches += 1;
@@ -407,7 +374,6 @@ mod tests {
             total_requests: total,
             high_water: 512,
             batch_max: 64,
-            batch_wait_us: 500,
             seed: 11,
         }
     }
@@ -466,7 +432,7 @@ mod tests {
         assert_eq!(trickle.shed, 0, "{trickle:?}");
         assert!(trickle.mean_batch < 4.0, "{trickle:?}");
         assert!(flood.shed_rate > 0.5, "{flood:?}");
-        // Adaptive batching: a flood fills batches to batch_max.
+        // A flood fills batches to batch_max without any fill wait.
         assert!(flood.mean_batch > 32.0, "{flood:?}");
         assert!(flood.throughput_rps > trickle.throughput_rps);
     }

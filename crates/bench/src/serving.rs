@@ -14,7 +14,6 @@ use deflection_core::producer::produce;
 use deflection_core::tenant::{TenantConfig, TenantId, TenantRegistry};
 use deflection_sgx_sim::layout::{EnclaveLayout, MemConfig};
 use deflection_workloads::{credit, genome, kv, nbench, server};
-use std::time::Duration;
 
 /// Fuel budget for serving runs (matches the workloads runner default).
 pub const FUEL: u64 = 2_000_000_000;
@@ -120,12 +119,7 @@ pub fn rig(workers: usize) -> Rig {
 pub fn admission_round(r: &mut Rig) -> u64 {
     let m = serving_manifest();
     let frontend = AdmissionFrontend::new(
-        AdmissionConfig {
-            queue_capacity: 2 * BATCH,
-            high_water: 2 * BATCH,
-            batch_max: BATCH,
-            batch_wait: Duration::from_micros(200),
-        },
+        AdmissionConfig { queue_capacity: 2 * BATCH, high_water: 2 * BATCH, batch_max: BATCH },
         TenantRegistry::new(&m),
     );
     let tenants: Vec<TenantId> = r

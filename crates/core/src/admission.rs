@@ -1,13 +1,13 @@
-//! Multi-tenant admission frontend: a bounded request queue with adaptive
-//! batching and typed load shedding in front of
+//! Multi-tenant admission frontend: a bounded request queue with
+//! work-conserving batching and typed load shedding in front of
 //! [`crate::pool::EnclavePool`].
 //!
 //! ```text
 //!   clients (any thread)                 dispatcher (owns &mut pool)
 //!  ┌─────────────────────┐   bounded    ┌─────────────────────────────┐
-//!  │ submit(tenant, req) │──▶ queue ───▶│ drain ≤ batch_max or until  │
-//!  │   → Ticket | Shed   │  (VecDeque)  │ batch_wait deadline, group  │
-//!  │ ticket.wait()       │◀── slots ────│ by tenant, serve_parallel,  │
+//!  │ submit(tenant, req) │──▶ queue ───▶│ on wake drain ≤ batch_max,  │
+//!  │   → Ticket | Shed   │  (VecDeque)  │ group by tenant, switch to  │
+//!  │ ticket.wait()       │◀── slots ────│ its image, serve_parallel,  │
 //!  └─────────────────────┘              │ deliver verdicts            │
 //!                                       └─────────────────────────────┘
 //! ```
@@ -27,15 +27,21 @@
 //! accepted request gets its [`TraceId`] minted *at enqueue*, so the
 //! flight recorder shows queueing delay as its own lane segment
 //! (Enqueue → Admit → Claim).
+//!
+//! Dispatch is work-conserving: the dispatcher never holds a request back
+//! to fill a batch. It serves whatever is queued (up to `batch_max`) the
+//! moment it wakes, so a lone request costs its run, while under
+//! saturation the queue refills during each batch and batches still come
+//! out full.
 
 use crate::pool::EnclavePool;
 use crate::runtime::{EcallError, RunReport};
-use crate::tenant::{TenantConfig, TenantId, TenantRegistry, TenantRejected, TenantStats};
+use crate::tenant::{Tenant, TenantConfig, TenantId, TenantRegistry, TenantRejected, TenantStats};
 use deflection_telemetry::flightrec::{self, EventKind, TraceId};
 use deflection_telemetry::METRICS;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tuning knobs for the admission frontend.
 #[derive(Debug, Clone)]
@@ -48,23 +54,15 @@ pub struct AdmissionConfig {
     /// leaves headroom so depth metrics can distinguish "shedding" from
     /// "hard full".
     pub high_water: usize,
-    /// Largest batch the dispatcher hands to the pool at once.
+    /// Largest batch the dispatcher hands to the pool at once. Batches
+    /// are never held back to fill: under load they reach `batch_max`
+    /// because the queue refills while the previous batch is served.
     pub batch_max: usize,
-    /// How long the dispatcher waits for a batch to fill before serving a
-    /// partial one — the adaptive-batching knob: under load batches reach
-    /// `batch_max` instantly (amortizing pool fan-out), while a trickle
-    /// is served within one `batch_wait` of arriving.
-    pub batch_wait: Duration,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig {
-            queue_capacity: 1024,
-            high_water: 896,
-            batch_max: 64,
-            batch_wait: Duration::from_millis(2),
-        }
+        AdmissionConfig { queue_capacity: 1024, high_water: 896, batch_max: 64 }
     }
 }
 
@@ -354,13 +352,12 @@ impl AdmissionFrontend {
     /// before or during the loop — is served and has its verdict
     /// delivered before this returns, so no ticket ever waits forever.
     ///
-    /// Batch formation is adaptive: the dispatcher sleeps until the first
-    /// request arrives, then drains up to `batch_max` requests or waits
-    /// at most `batch_wait` for the batch to fill, whichever comes first.
-    /// Each drained batch is grouped by tenant (first-occurrence order,
-    /// deterministic in admission order); each tenant group installs the
-    /// tenant's binary if it is not already the pool's active image and
-    /// is served through
+    /// Dispatch is work-conserving: the dispatcher sleeps until a request
+    /// arrives, then drains whatever is queued, up to `batch_max`, without
+    /// waiting for more. Each drained batch is grouped by tenant
+    /// (first-occurrence order, deterministic in admission order); each
+    /// tenant group switches the pool to the tenant's image — a swap of
+    /// resident instances once the pool holds it — and is served through
     /// [`EnclavePool::serve_parallel_each_traced`] with the traces minted
     /// at enqueue.
     ///
@@ -380,29 +377,11 @@ impl AdmissionFrontend {
                 if state.queue.is_empty() && state.closed {
                     return report;
                 }
-                // Adaptive fill: give the batch up to `batch_wait` to
-                // reach `batch_max`, unless we are closed (drain fast).
-                let deadline = Instant::now() + self.config.batch_wait;
-                while state.queue.len() < self.config.batch_max && !state.closed {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (s, timeout) =
-                        self.items.wait_timeout(state, deadline - now).expect("admission lock");
-                    state = s;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
                 let take = state.queue.len().min(self.config.batch_max);
                 let drained: Vec<Pending> = state.queue.drain(..take).collect();
                 METRICS.admission_queue_depth.set(state.queue.len() as i64);
                 drained
             };
-            if drained.is_empty() {
-                continue;
-            }
             let now = Instant::now();
             for p in &drained {
                 flightrec::record(EventKind::Admit, p.trace, p.global_id, drained.len() as u64);
@@ -417,8 +396,8 @@ impl AdmissionFrontend {
         }
     }
 
-    /// Serves one drained batch: group by tenant, install-if-needed,
-    /// serve, deliver.
+    /// Serves one drained batch: group by tenant, switch to each tenant's
+    /// image, serve, deliver.
     fn serve_drained(
         &self,
         pool: &mut EnclavePool,
@@ -437,32 +416,29 @@ impl AdmissionFrontend {
         }
         let mut first_error: Option<(u64, EcallError)> = None;
         for (tenant, idxs) in groups {
-            let (code_hash, binary) = {
-                let state = self.state.lock().expect("admission lock");
-                let t = state.registry.get(tenant).expect("registered tenant");
-                (t.code_hash, t.config.binary.clone())
-            };
-            let verdicts: Vec<Result<RunReport, EcallError>> = if pool.active_code_hash()
-                == Some(code_hash)
-            {
-                let payloads: Vec<&[u8]> =
-                    idxs.iter().map(|&i| drained[i].payload.as_slice()).collect();
-                let traces: Vec<TraceId> = idxs.iter().map(|&i| drained[i].trace).collect();
-                pool.serve_parallel_each_traced(&payloads, &traces, fuel)
+            let code_hash = self.with_tenant(tenant, |t| t.code_hash);
+            // One switch keyed by the tenant's registered code hash:
+            // nothing to do when its image is live, a swap of resident
+            // instances when the pool holds it, and a verifying install
+            // (the only case that needs the binary) otherwise.
+            let switched = if pool.active_code_hash() == Some(code_hash) {
+                Ok(code_hash)
             } else {
-                match pool.install_all(&binary) {
-                    Ok(_) => {
-                        let payloads: Vec<&[u8]> =
-                            idxs.iter().map(|&i| drained[i].payload.as_slice()).collect();
-                        let traces: Vec<TraceId> = idxs.iter().map(|&i| drained[i].trace).collect();
-                        pool.serve_parallel_each_traced(&payloads, &traces, fuel)
-                    }
-                    // A rejected tenant binary fails the whole tenant
-                    // group — each of its requests gets its own clone
-                    // of the install error — but never its
-                    // batch-mates from other tenants.
-                    Err(e) => idxs.iter().map(|_| Err(e.clone())).collect(),
+                pool.activate(&code_hash).unwrap_or_else(|| {
+                    pool.install_all(&self.with_tenant(tenant, |t| t.config.binary.clone()))
+                })
+            };
+            let verdicts: Vec<Result<RunReport, EcallError>> = match switched {
+                Ok(_) => {
+                    let payloads: Vec<&[u8]> =
+                        idxs.iter().map(|&i| drained[i].payload.as_slice()).collect();
+                    let traces: Vec<TraceId> = idxs.iter().map(|&i| drained[i].trace).collect();
+                    pool.serve_parallel_each_traced(&payloads, &traces, fuel)
                 }
+                // A rejected tenant binary fails the whole tenant group —
+                // each of its requests gets its own clone of the install
+                // error — but never its batch-mates from other tenants.
+                Err(e) => idxs.iter().map(|_| Err(e.clone())).collect(),
             };
             let mut state = self.state.lock().expect("admission lock");
             for (&pos, verdict) in idxs.iter().zip(verdicts) {
@@ -488,6 +464,12 @@ impl AdmissionFrontend {
             }
         }
         BatchOutcome { global_ids, first_error }
+    }
+
+    /// Reads one registered tenant under the admission lock.
+    fn with_tenant<R>(&self, tenant: TenantId, read: impl FnOnce(&Tenant) -> R) -> R {
+        let state = self.state.lock().expect("admission lock");
+        read(state.registry.get(tenant).expect("registered tenant"))
     }
 }
 

@@ -406,7 +406,7 @@ pub fn install_capture_incremental(
     let prepared = PreparedInstall {
         measurement: enclave.measurement(),
         code_hash: installed.program.code_hash,
-        mem: mem.clone(),
+        mem: mem.image(),
         installed: installed.clone(),
         io,
         binary: binary.to_vec(),

@@ -28,7 +28,7 @@
 //! * [`pool`] — concurrent serving across isolated enclave workers
 //!   (the TOCTOU-free reading of the paper's Section VII);
 //! * [`admission`] / [`tenant`] — the untrusted multi-tenant admission
-//!   frontend: bounded queueing, adaptive batching and typed load
+//!   frontend: bounded queueing, work-conserving batching and typed load
 //!   shedding in front of the pool (zero TCB lines);
 //! * [`audit`] — the attested in-enclave audit ring: policy-relevant
 //!   events, exported only as sealed, fixed-size, budget-charged records;

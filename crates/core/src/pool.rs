@@ -22,6 +22,23 @@
 //! and re-imported after a restart ([`EnclavePool::export_sealed`] /
 //! [`EnclavePool::import_sealed`], see [`crate::sealed`]).
 //!
+//! # Resident tenant instances
+//!
+//! Many tenants share one pool, so a worker slot keeps a table of
+//! *resident* enclave instances, one per tenant image it has served, keyed
+//! by code hash. A tenant switch ([`EnclavePool::install_all`] or
+//! [`EnclavePool::activate`] on a cached image) swaps that tenant's
+//! instance in with its globals, inbox and audit state intact — no image
+//! copy, no VM rebuild, no re-prewarm. Only a slot that has never held the
+//! image builds a fresh instance from the prepared image. The state a slot
+//! owns rather than a tenant — record-nonce channel and counter, lifetime
+//! output ledger, audit ring — moves to the incoming instance on every
+//! swap, before it adopts an image or runs
+//! (`BootstrapEnclave::hand_over_slot`), so every resident of a slot
+//! seals on the slot's one channel under the slot's one monotonic counter.
+//! A resident exists only while its prepared image is retained: evicting
+//! an image past the cache cap drops its residents on every slot.
+//!
 //! # Fault tolerance
 //!
 //! Long-lived serving must survive individual enclave failures. Two are
@@ -69,9 +86,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const DEFAULT_RESPAWN_BUDGET: usize = 8;
 
 /// Default cap on retained prepared images (see
-/// [`EnclavePool::set_prepared_cap`]). Each [`PreparedInstall`] holds a
-/// full enclave memory image, so an unbounded cache is a memory leak on
-/// exactly the high-churn fleet workload the pool exists to serve.
+/// [`EnclavePool::set_prepared_cap`]). Each retained image may also back
+/// one resident enclave instance per worker slot, so an unbounded cache is
+/// a memory leak on exactly the high-churn fleet workload the pool exists
+/// to serve.
 pub const DEFAULT_PREPARED_CAP: usize = 64;
 
 /// Why [`EnclavePool::export_sealed_for`] could not seal a hash.
@@ -182,11 +200,18 @@ impl PoolHealth {
     }
 }
 
-/// One worker slot: the live enclave instance plus its health state and
-/// fault-injection hooks.
+/// One worker slot: the live enclave instance, the slot's resident
+/// instances of other tenants, its health state and fault-injection hooks.
 #[derive(Debug)]
 struct Worker {
+    /// The instance that serves the slot's requests.
     enclave: BootstrapEnclave,
+    /// Code hash of the image the live instance holds; `None` before the
+    /// slot's first install and after a rebuild.
+    live: Option<[u8; 32]>,
+    /// Parked instances of other tenants, by code hash. A tenant switch
+    /// swaps one in, keeping its globals, inbox and instruction counters.
+    residents: HashMap<[u8; 32], BootstrapEnclave>,
     health: WorkerHealth,
     /// Stable slot index, used to attribute flight-recorder events.
     slot: usize,
@@ -195,6 +220,96 @@ struct Worker {
     /// Armed chaos kill: lose the instance right before serving the
     /// `n+1`-th subsequent request.
     chaos_kill_after: Option<usize>,
+}
+
+/// A new, image-less enclave over `layout` and `manifest`, holding the
+/// owner session key when one is set.
+fn fresh_instance(
+    layout: &EnclaveLayout,
+    manifest: &Manifest,
+    owner_key: Option<[u8; 32]>,
+) -> BootstrapEnclave {
+    let mut enclave = BootstrapEnclave::new(layout.clone(), manifest.clone());
+    if let Some(key) = owner_key {
+        enclave.set_owner_session(key);
+    }
+    enclave
+}
+
+impl Worker {
+    /// Builds `hash`'s image into a fresh instance over this slot's own
+    /// layout and manifest, then makes it live. The slot's state is handed
+    /// to the new instance *before* `install` runs, so the install's audit
+    /// record continues the slot's sequence; on failure it is handed back
+    /// and the slot is left exactly as it was.
+    fn install_fresh<R>(
+        &mut self,
+        hash: [u8; 32],
+        owner_key: Option<[u8; 32]>,
+        retained: impl Fn(&[u8; 32]) -> bool,
+        install: impl FnOnce(&mut BootstrapEnclave) -> Result<R, EcallError>,
+    ) -> Result<R, EcallError> {
+        let mut incoming = fresh_instance(&self.enclave.layout, &self.enclave.manifest, owner_key);
+        self.enclave.hand_over_slot(&mut incoming);
+        match install(&mut incoming) {
+            Ok(r) => {
+                self.make_live(hash, incoming, retained);
+                Ok(r)
+            }
+            Err(e) => {
+                incoming.hand_over_slot(&mut self.enclave);
+                Err(e)
+            }
+        }
+    }
+
+    /// Makes `prepared`'s image live on this slot: nothing to do when it
+    /// already is, a swap when a resident instance holds it, a replay into
+    /// a fresh instance otherwise.
+    fn switch_to(
+        &mut self,
+        prepared: &PreparedInstall,
+        owner_key: Option<[u8; 32]>,
+        retained: impl Fn(&[u8; 32]) -> bool,
+    ) -> Result<(), EcallError> {
+        let hash = prepared.code_hash();
+        if self.live == Some(hash) {
+            return Ok(());
+        }
+        match self.residents.remove(&hash) {
+            Some(mut resident) => {
+                self.enclave.hand_over_slot(&mut resident);
+                self.make_live(hash, resident, retained);
+                Ok(())
+            }
+            None => self
+                .install_fresh(hash, owner_key, retained, |e| e.install_replayed(prepared))
+                .map(|_| ()),
+        }
+    }
+
+    /// Whether making `hash` live needs a replay (no live or resident
+    /// instance holds it).
+    fn needs_replay(&self, hash: &[u8; 32]) -> bool {
+        self.live != Some(*hash) && !self.residents.contains_key(hash)
+    }
+
+    /// Replaces the live instance with `incoming` (which already holds the
+    /// slot's state) and parks the outgoing one as a resident while its
+    /// image is still `retained` in the prepared cache.
+    fn make_live(
+        &mut self,
+        hash: [u8; 32],
+        incoming: BootstrapEnclave,
+        retained: impl Fn(&[u8; 32]) -> bool,
+    ) {
+        let outgoing = std::mem::replace(&mut self.enclave, incoming);
+        if let Some(old) = self.live.replace(hash) {
+            if !outgoing.is_lost() && retained(&old) {
+                self.residents.insert(old, outgoing);
+            }
+        }
+    }
 }
 
 /// Everything a respawn needs, borrowed from the pool's non-worker fields
@@ -206,10 +321,11 @@ struct RespawnCtx<'a> {
     prepared: Option<&'a PreparedInstall>,
 }
 
-/// Replaces a worker slot's enclave with a fresh instance reinstalled from
-/// the prepared cache, consuming one unit of the slot's respawn budget.
-/// Returns `false` (and quarantines the slot) when the budget is exhausted
-/// or the reinstall fails.
+/// Replaces a worker slot's live enclave with a fresh instance reinstalled
+/// from the prepared cache, consuming one unit of the slot's respawn
+/// budget. Returns `false` (and quarantines the slot) when the budget is
+/// exhausted or the reinstall fails. Resident instances of other tenants
+/// are healthy and stay.
 fn respawn_worker(w: &mut Worker, ctx: &RespawnCtx<'_>) -> bool {
     if w.respawn_left == 0 {
         if !w.health.quarantined {
@@ -220,22 +336,17 @@ fn respawn_worker(w: &mut Worker, ctx: &RespawnCtx<'_>) -> bool {
         return false;
     }
     w.respawn_left -= 1;
-    let mut fresh = BootstrapEnclave::new(ctx.layout.clone(), ctx.manifest.clone());
+    let mut fresh = fresh_instance(ctx.layout, ctx.manifest, ctx.owner_key);
     // The fresh instance serves under the same owner session key as the
-    // dead one, so it inherits the slot's nonce channel and record counter
-    // (a reset would reuse an AEAD nonce), the lifetime output ledger
-    // (the optional lifetime entropy cap bounds the slot, not one
-    // instance), and the audit sequence counter (exported audit sequences
-    // must never regress).
-    fresh.set_channel(w.enclave.channel());
-    fresh.resume_send_nonce(w.enclave.send_nonce());
-    fresh.resume_lifetime_sent_bytes(w.enclave.lifetime_sent_bytes());
-    fresh.resume_audit_seq(w.enclave.audit_next_seq());
-    if let Some(key) = ctx.owner_key {
-        fresh.set_owner_session(key);
-    }
+    // dead one, so it takes over the slot's nonce channel and record
+    // counter (a reset would reuse an AEAD nonce), the lifetime output
+    // ledger (the optional lifetime entropy cap bounds the slot, not one
+    // instance), and the audit ring (exported audit sequences must never
+    // regress).
+    w.enclave.hand_over_slot(&mut fresh);
     if let Some(prepared) = ctx.prepared {
         if fresh.install_replayed(prepared).is_err() {
+            fresh.hand_over_slot(&mut w.enclave);
             if !w.health.quarantined {
                 METRICS.pool_quarantines.add(1);
                 flightrec::record_ambient(EventKind::Quarantine, w.slot as u64, 0);
@@ -245,6 +356,10 @@ fn respawn_worker(w: &mut Worker, ctx: &RespawnCtx<'_>) -> bool {
         }
     }
     w.enclave = fresh;
+    w.live = ctx.prepared.map(PreparedInstall::code_hash);
+    if let Some(hash) = &w.live {
+        w.residents.remove(hash);
+    }
     w.health.respawned += 1;
     w.health.quarantined = false;
     METRICS.pool_respawns.add(1);
@@ -383,7 +498,8 @@ pub struct EnclavePool {
     /// reinstall this image from the cache).
     active: Option<[u8; 32]>,
     respawn_budget: usize,
-    /// Cap on retained prepared images; the active image is never evicted.
+    /// Cap on retained prepared images; the active image is never evicted,
+    /// and an evicted image's resident instances go with it.
     prepared_cap: usize,
     /// Monotonic recency stamps backing the LRU eviction order.
     recency: HashMap<[u8; 32], u64>,
@@ -416,6 +532,8 @@ impl EnclavePool {
                 enclave.set_channel(u32::try_from(i).expect("pool size fits u32"));
                 Worker {
                     enclave,
+                    live: None,
+                    residents: HashMap::new(),
                     health: WorkerHealth::default(),
                     slot: i,
                     respawn_left: DEFAULT_RESPAWN_BUDGET,
@@ -503,12 +621,15 @@ impl EnclavePool {
         }
     }
 
-    /// Installs the owner session key in every worker (and in every future
-    /// respawn).
+    /// Installs the owner session key in every worker, resident instances
+    /// included (and in every future respawn).
     pub fn set_owner_session(&mut self, key: [u8; 32]) {
         self.owner_key = Some(key);
         for w in &mut self.workers {
             w.enclave.set_owner_session(key);
+            for resident in w.residents.values_mut() {
+                resident.set_owner_session(key);
+            }
         }
     }
 
@@ -534,13 +655,15 @@ impl EnclavePool {
     ///
     /// Panics if `worker` is out of range.
     pub fn chaos_replace_worker(&mut self, worker: usize, layout: &EnclaveLayout) {
-        let owner_key = self.owner_key;
-        let mut fresh = BootstrapEnclave::new(layout.clone(), self.manifest.clone());
-        fresh.set_channel(self.workers[worker].enclave.channel());
-        if let Some(key) = owner_key {
-            fresh.set_owner_session(key);
-        }
-        self.workers[worker].enclave = fresh;
+        let w = &mut self.workers[worker];
+        let mut fresh = fresh_instance(layout, &self.manifest, self.owner_key);
+        w.enclave.hand_over_slot(&mut fresh);
+        // The whole slot is misdeployed: its residents go too, so every
+        // later install on it builds over the wrong layout and fails
+        // closed.
+        w.enclave = fresh;
+        w.live = None;
+        w.residents.clear();
     }
 
     /// Seals the currently active prepared image for untrusted storage
@@ -589,54 +712,34 @@ impl EnclavePool {
         METRICS.pool_sealed_imports.add(1);
         let hash = prepared.code_hash();
         self.insert_prepared(hash, prepared);
-        let prepared = self.prepared.get(&hash).expect("just inserted").clone();
-        self.replay_into_all(&prepared)
+        self.switch_all(hash)
     }
 
     /// Installs the same target binary in every worker, verifying once.
     ///
     /// The first install of a binary runs the full pipeline (load +
-    /// verify + rewrite) on the first healthy worker and captures the
-    /// finished image; all workers then adopt replayed copies
-    /// concurrently (quarantined or lost slots are rebuilt fresh first — a
-    /// full reinstall re-establishes trust, so it clears quarantine
-    /// without consuming the serving-path respawn budget). A cached image
-    /// (same code hash) replays into every worker with no verification at
-    /// all.
+    /// verify + rewrite) once, on a fresh instance in the first healthy
+    /// worker slot, and captures the finished image; every other slot
+    /// replays a copy concurrently (quarantined or lost slots are rebuilt
+    /// fresh first — a full reinstall re-establishes trust, so it clears
+    /// quarantine without consuming the serving-path respawn budget). A
+    /// cached image (same code hash) verifies nothing: each slot swaps in
+    /// its resident instance of the tenant, state intact, or replays the
+    /// image into a fresh one (see [`EnclavePool::activate`]).
     ///
     /// # Errors
     ///
-    /// Fails if verification rejects the binary (nothing is installed
+    /// Fails if verification rejects the binary (nothing changes
     /// anywhere) or a replay fails. Replay failure is fail-closed: every
     /// worker that rejected the image is quarantined, the rest hold the
     /// new image uniformly, and the surfaced error is the lowest-index
     /// worker's.
     pub fn install_all(&mut self, binary: &[u8]) -> Result<[u8; 32], EcallError> {
-        // Installs get their own causal ID so verify phases and per-worker
-        // replays group into one lane per install.
-        let tid = TraceId::mint();
-        flightrec::with_trace(tid, || {
-            let hash = sha256(binary);
-            let cached = self.prepared.contains_key(&hash);
-            if cached {
-                METRICS.pool_install_cache_hits.add(1);
-                self.touch(hash);
-            } else {
-                METRICS.pool_install_cache_misses.add(1);
-                let idx = self.verifying_worker();
-                let p = self.workers[idx].enclave.install_capture(binary)?;
-                self.verifications += 1;
-                self.insert_prepared(hash, p);
-            }
-            flightrec::record(
-                EventKind::Install,
-                tid,
-                self.workers.len() as u64,
-                u64::from(cached),
-            );
-            let prepared = self.prepared.get(&hash).expect("present").clone();
-            self.replay_into_all(&prepared)
-        })
+        let hash = sha256(binary);
+        match self.activate(&hash) {
+            Some(switched) => switched,
+            None => self.install_uncached(hash, |enclave, _| enclave.install_capture(binary)),
+        }
     }
 
     /// Installs a (typically patched) target binary in every worker using
@@ -653,32 +756,73 @@ impl EnclavePool {
     ///
     /// Same contract as [`EnclavePool::install_all`].
     pub fn install_patched(&mut self, binary: &[u8]) -> Result<[u8; 32], EcallError> {
+        let hash = sha256(binary);
+        match self.activate(&hash) {
+            Some(switched) => switched,
+            None => self.install_uncached(hash, |enclave, memo| {
+                install_capture_incremental(enclave, binary, memo)
+            }),
+        }
+    }
+
+    /// Makes the cached image with code hash `hash` the live one in every
+    /// worker — the tenant switch behind [`EnclavePool::install_all`] on a
+    /// cached binary, keyed by the hash a caller already holds (the
+    /// admission frontend's registered code hash) so it need not rehash
+    /// the binary. Each slot swaps in its resident instance of the tenant
+    /// with globals, inbox and instruction counters intact, or replays the
+    /// image into a fresh instance when it has none; slot-scoped state
+    /// (nonce channel and counter, lifetime ledger, audit ring) moves to
+    /// the incoming instance before it runs. Returns `None` — changing
+    /// nothing — when no image with this hash is cached, in which case the
+    /// binary must go through [`EnclavePool::install_all`].
+    ///
+    /// # Errors
+    ///
+    /// Inside the `Some`: replay failures, fail-closed exactly as in
+    /// [`EnclavePool::install_all`].
+    pub fn activate(&mut self, hash: &[u8; 32]) -> Option<Result<[u8; 32], EcallError>> {
+        if !self.prepared.contains_key(hash) {
+            return None;
+        }
+        // Installs get their own causal ID so verify phases and per-worker
+        // switches group into one lane per install.
+        let tid = TraceId::mint();
+        Some(flightrec::with_trace(tid, || {
+            METRICS.pool_install_cache_hits.add(1);
+            self.touch(*hash);
+            flightrec::record(EventKind::Install, tid, self.workers.len() as u64, 1);
+            self.switch_all(*hash)
+        }))
+    }
+
+    /// The cache-miss install: verify once with `capture` on a fresh
+    /// instance in the verifying slot (which makes it that slot's live
+    /// instance), retain the captured image, then switch every other slot
+    /// to it.
+    fn install_uncached(
+        &mut self,
+        hash: [u8; 32],
+        capture: impl FnOnce(
+            &mut BootstrapEnclave,
+            &mut IncrementalCache,
+        ) -> Result<PreparedInstall, EcallError>,
+    ) -> Result<[u8; 32], EcallError> {
         let tid = TraceId::mint();
         flightrec::with_trace(tid, || {
-            let hash = sha256(binary);
-            let cached = self.prepared.contains_key(&hash);
-            if cached {
-                METRICS.pool_install_cache_hits.add(1);
-                self.touch(hash);
-            } else {
-                METRICS.pool_install_cache_misses.add(1);
-                let idx = self.verifying_worker();
-                let p = install_capture_incremental(
-                    &mut self.workers[idx].enclave,
-                    binary,
-                    &mut self.incremental,
-                )?;
-                self.verifications += 1;
-                self.insert_prepared(hash, p);
-            }
-            flightrec::record(
-                EventKind::Install,
-                tid,
-                self.workers.len() as u64,
-                u64::from(cached),
-            );
-            let prepared = self.prepared.get(&hash).expect("present").clone();
-            self.replay_into_all(&prepared)
+            METRICS.pool_install_cache_misses.add(1);
+            let idx = self.verifying_worker();
+            let EnclavePool { workers, prepared, incremental, owner_key, .. } = &mut *self;
+            let p = workers[idx].install_fresh(
+                hash,
+                *owner_key,
+                |h| prepared.contains_key(h),
+                |enclave| capture(enclave, incremental),
+            )?;
+            self.verifications += 1;
+            self.insert_prepared(hash, p);
+            flightrec::record(EventKind::Install, tid, self.workers.len() as u64, 0);
+            self.switch_all(hash)
         })
     }
 
@@ -713,7 +857,9 @@ impl EnclavePool {
     /// Sets the cap on retained prepared images (default
     /// [`DEFAULT_PREPARED_CAP`]) and evicts immediately down to it,
     /// least-recently-installed first. The active image — the one
-    /// respawns and sealed exports replay from — is never evicted.
+    /// respawns and sealed exports replay from — is never evicted. Every
+    /// resident instance belongs to a retained image, so the cap also
+    /// bounds each slot's resident table.
     ///
     /// # Panics
     ///
@@ -732,7 +878,7 @@ impl EnclavePool {
     }
 
     /// Retains `(hash, image)` in the prepared cache, clearing any
-    /// eviction tombstone. Trimming happens in `replay_into_all`, after
+    /// eviction tombstone. Trimming happens in `switch_all`, after
     /// the new image became active, so the cap can never evict the image
     /// being installed.
     fn insert_prepared(&mut self, hash: [u8; 32], p: PreparedInstall) {
@@ -742,7 +888,8 @@ impl EnclavePool {
     }
 
     /// Evicts least-recently-used prepared images until the cap holds,
-    /// skipping the active image. Each eviction leaves a tombstone in
+    /// skipping the active image. An evicted image's resident instances
+    /// are dropped on every slot. Each eviction leaves a tombstone in
     /// `evicted` and bumps the eviction counter.
     fn evict_to_cap(&mut self) {
         while self.prepared.len() > self.prepared_cap {
@@ -754,56 +901,38 @@ impl EnclavePool {
                 .copied();
             let Some(victim) = victim else { break };
             self.prepared.remove(&victim);
+            for w in &mut self.workers {
+                w.residents.remove(&victim);
+            }
             self.recency.remove(&victim);
             self.evicted.insert(victim);
             METRICS.pool_prepared_evictions.add(1);
         }
     }
 
-    /// Installs the binary in every worker with an *independent* full
-    /// pipeline run per worker — the pre-cache behaviour, kept for
-    /// ablation benchmarks and for callers that want N genuinely
-    /// independent verifications. Does not populate the prepared cache,
-    /// so respawned workers cannot reinstall from it.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first worker that rejects the binary (they all would —
-    /// verification is deterministic).
-    pub fn install_all_independent(&mut self, binary: &[u8]) -> Result<[u8; 32], EcallError> {
-        let mut hash = [0u8; 32];
-        for w in &mut self.workers {
-            hash = w.enclave.install_plain(binary)?;
-            self.verifications += 1;
-        }
-        Ok(hash)
-    }
-
-    /// Rebuilds a worker slot with a brand-new enclave (pool layout and
-    /// manifest), clearing quarantine. Used by the reinstall path; does
-    /// not consume the serving-path respawn budget — the slot's allowance
-    /// refills, since the subsequent full reinstall re-establishes trust.
+    /// Rebuilds a worker slot's live instance with a brand-new enclave
+    /// (pool layout and manifest) that takes over the slot's state,
+    /// clearing quarantine. Used by the reinstall path; does not consume
+    /// the serving-path respawn budget — the slot's allowance refills,
+    /// since the subsequent full reinstall re-establishes trust.
     fn rebuild_fresh(&mut self, idx: usize) {
         let w = &mut self.workers[idx];
-        let mut fresh = BootstrapEnclave::new(self.layout.clone(), self.manifest.clone());
-        fresh.set_channel(w.enclave.channel());
-        fresh.resume_send_nonce(w.enclave.send_nonce());
-        fresh.resume_lifetime_sent_bytes(w.enclave.lifetime_sent_bytes());
-        fresh.resume_audit_seq(w.enclave.audit_next_seq());
-        if let Some(key) = self.owner_key {
-            fresh.set_owner_session(key);
-        }
+        let mut fresh = fresh_instance(&self.layout, &self.manifest, self.owner_key);
+        w.enclave.hand_over_slot(&mut fresh);
         w.enclave = fresh;
+        w.live = None;
         w.health.respawned += 1;
         w.health.quarantined = false;
         w.respawn_left = self.respawn_budget;
     }
 
-    /// Replays a prepared image into every worker concurrently,
-    /// rebuilding quarantined or lost slots first. Fail-closed on replay
-    /// errors: failing workers are quarantined, the rest hold the image
-    /// uniformly, and the lowest-index worker's error is returned.
-    fn replay_into_all(&mut self, prepared: &PreparedInstall) -> Result<[u8; 32], EcallError> {
+    /// Makes the cached image `hash` live in every worker, rebuilding
+    /// quarantined or lost slots first. Slots that hold the image as a
+    /// resident swap it in; the others replay it, concurrently when more
+    /// than one must. Fail-closed on replay errors: failing workers are
+    /// quarantined, the rest hold the image uniformly, and the
+    /// lowest-index worker's error is returned.
+    fn switch_all(&mut self, hash: [u8; 32]) -> Result<[u8; 32], EcallError> {
         let rebuild: Vec<usize> = self
             .workers
             .iter()
@@ -814,28 +943,36 @@ impl EnclavePool {
         for i in rebuild {
             self.rebuild_fresh(i);
         }
-        let mut outcomes: Vec<Result<[u8; 32], EcallError>> =
-            Vec::with_capacity(self.workers.len());
         // Scope-spawned replay threads do not inherit the install's ambient
-        // trace; capture it here and attribute each replay explicitly.
+        // trace; capture it here and attribute each switch explicitly.
         let tid = flightrec::ambient();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in &mut self.workers {
-                handles.push(scope.spawn(move || {
-                    flightrec::record(EventKind::InstallReplay, tid, w.slot as u64, 0);
-                    w.enclave.install_replayed(prepared)
-                }));
-            }
-            for h in handles {
-                outcomes.push(h.join().expect("install thread must not panic"));
-            }
-        });
+        let EnclavePool { workers, prepared: cache, owner_key, .. } = &mut *self;
+        let cache = &*cache;
+        let prepared = cache.get(&hash).expect("switched-to image is cached");
+        let owner_key = *owner_key;
+        let switch = |w: &mut Worker| {
+            flightrec::record(EventKind::InstallReplay, tid, w.slot as u64, 0);
+            w.switch_to(prepared, owner_key, |h| cache.contains_key(h))
+        };
+        let outcomes: Vec<Result<(), EcallError>> =
+            if workers.iter().filter(|w| w.needs_replay(&hash)).count() > 1 {
+                std::thread::scope(|scope| {
+                    let switch = &switch;
+                    let handles: Vec<_> =
+                        workers.iter_mut().map(|w| scope.spawn(move || switch(w))).collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("install thread must not panic"))
+                        .collect()
+                })
+            } else {
+                workers.iter_mut().map(switch).collect()
+            };
         // Even on partial failure every *usable* worker now holds this
         // image, so it becomes the active one respawns reinstall. Only
         // now is it safe to trim the cache: the just-inserted image is
         // active and therefore exempt from eviction.
-        self.active = Some(prepared.code_hash());
+        self.active = Some(hash);
         self.evict_to_cap();
         let mut first_err = None;
         for (w, outcome) in self.workers.iter_mut().zip(outcomes) {
@@ -852,7 +989,7 @@ impl EnclavePool {
         }
         match first_err {
             Some(e) => Err(e),
-            None => Ok(prepared.code_hash()),
+            None => Ok(hash),
         }
     }
 
@@ -1245,15 +1382,16 @@ mod tests {
         let mut manifest = Manifest::ccaas();
         manifest.policy = PolicySet::full();
         let layout = EnclaveLayout::new(MemConfig::small());
-        let mut independent = EnclavePool::new(&layout, &manifest, 4);
         let binary = produce(ECHO_SUM, &manifest.policy).unwrap().serialize();
-        independent.set_owner_session([1; 32]);
-        independent.install_all_independent(&binary).unwrap();
-        assert_eq!(independent.verification_count(), 4);
-        let a = cached.serve_parallel(&requests, 10_000_000).unwrap();
-        let b = independent.serve_parallel(&requests, 10_000_000).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.exit, y.exit);
+        let replayed = cached.serve_parallel(&requests, 10_000_000).unwrap();
+        assert_eq!(cached.verification_count(), 1);
+        // Oracle: every request on its own enclave that ran the whole
+        // pipeline itself.
+        for (request, report) in requests.iter().zip(&replayed) {
+            let mut own = BootstrapEnclave::new(layout.clone(), manifest.clone());
+            own.install_plain(&binary).unwrap();
+            own.provide_input(request).unwrap();
+            assert_eq!(own.run(10_000_000).unwrap().exit, report.exit);
         }
     }
 
@@ -1470,6 +1608,141 @@ mod tests {
         // verification count shows one full + one incremental verify.
         assert_eq!(pool.prepared_cache_len(), 2);
         assert_eq!(pool.verification_count(), 2);
+    }
+
+    /// A 1-worker pool over `manifest` with `sources` installed in order
+    /// (each verified once); returns the pool and the binaries.
+    fn tenants_pool(manifest: &Manifest, sources: &[&str]) -> (EnclavePool, Vec<Vec<u8>>) {
+        let layout = EnclaveLayout::new(MemConfig::small());
+        let mut pool = EnclavePool::new(&layout, manifest, 1);
+        pool.set_owner_session([3; 32]);
+        let binaries: Vec<Vec<u8>> =
+            sources.iter().map(|s| produce(s, &manifest.policy).unwrap().serialize()).collect();
+        for b in &binaries {
+            pool.install_all(b).unwrap();
+        }
+        (pool, binaries)
+    }
+
+    const COUNTER_A: &str = "var hits: int; fn main() -> int { hits = hits + 1; return hits; }";
+    const COUNTER_B: &str = "var hits: int; fn main() -> int { hits = hits + 100; return hits; }";
+
+    #[test]
+    fn switching_back_resumes_the_resident_instance() {
+        let manifest = Manifest::ccaas();
+        let (mut pool, bins) = tenants_pool(&manifest, &[COUNTER_A, COUNTER_B]);
+        let hash_a = sha256(&bins[0]);
+        let exit = |pool: &mut EnclavePool| pool.serve_on(0, b"", 1_000_000).unwrap().exit;
+        assert_eq!(exit(&mut pool).exit_value(), Some(100), "B is live after set-up");
+        for round in 1..=3u64 {
+            assert_eq!(pool.activate(&hash_a), Some(Ok(hash_a)));
+            assert_eq!(pool.active_code_hash(), Some(hash_a));
+            assert_eq!(exit(&mut pool).exit_value(), Some(round), "A's globals persist");
+            pool.install_all(&bins[1]).unwrap();
+            assert_eq!(exit(&mut pool).exit_value(), Some(100 * (round + 1)));
+        }
+        assert_eq!(pool.verification_count(), 2, "switches never re-verify");
+        // An image the pool never saw cannot be activated by hash.
+        assert_eq!(pool.activate(&[0xEE; 32]), None);
+    }
+
+    #[test]
+    fn evicting_an_image_drops_its_resident_instances() {
+        let manifest = Manifest::ccaas();
+        let third = "var hits: int; fn main() -> int { hits = hits + 7; return hits; }";
+        let (mut pool, bins) = tenants_pool(&manifest, &[COUNTER_A, COUNTER_B]);
+        pool.install_all(&bins[0]).unwrap();
+        assert_eq!(pool.serve_on(0, b"", 1_000_000).unwrap().exit.exit_value(), Some(1));
+        assert_eq!(pool.workers[0].residents.len(), 1, "B is parked");
+        // Cap 2 and a third tenant: B is least recently used and goes,
+        // taking its resident with it; A stays resident.
+        pool.set_prepared_cap(2);
+        pool.install_all(&produce(third, &manifest.policy).unwrap().serialize()).unwrap();
+        assert_eq!(pool.prepared_cache_len(), 2);
+        assert!(!pool.workers[0].residents.contains_key(&sha256(&bins[1])));
+        assert!(pool.workers[0].residents.contains_key(&sha256(&bins[0])));
+        // A switch back to A resumes its state; B comes back fresh (and
+        // verified again).
+        pool.install_all(&bins[0]).unwrap();
+        assert_eq!(pool.serve_on(0, b"", 1_000_000).unwrap().exit.exit_value(), Some(2));
+        pool.install_all(&bins[1]).unwrap();
+        assert_eq!(pool.serve_on(0, b"", 1_000_000).unwrap().exit.exit_value(), Some(100));
+        assert_eq!(pool.verification_count(), 4);
+    }
+
+    #[test]
+    fn swap_back_never_repeats_a_channel_counter_pair() {
+        use crate::runtime::open_record;
+        // Both tenants seal records under the slot's owner key; A -> B -> A
+        // must keep one monotonic counter per slot channel.
+        let manifest = Manifest::ccaas();
+        let layout = EnclaveLayout::new(MemConfig::small());
+        let mut pool = EnclavePool::new(&layout, &manifest, 2);
+        let key = [9u8; 32];
+        pool.set_owner_session(key);
+        let a = produce("fn main() -> int { return send(4); }", &manifest.policy).unwrap();
+        let b = produce("fn main() -> int { send(2); return send(3); }", &manifest.policy).unwrap();
+        let mut seen = HashSet::new();
+        for binary in [&a, &b, &a, &b, &a] {
+            pool.install_all(&binary.serialize()).unwrap();
+            for slot in 0..2usize {
+                let channel = slot as u32;
+                let base = pool.workers[slot].enclave.send_nonce();
+                let report = pool.serve_on(slot, b"", 1_000_000).unwrap();
+                assert!(!report.records.is_empty());
+                for (k, record) in report.records.iter().enumerate() {
+                    let counter = base + k as u64;
+                    assert!(open_record(&key, channel, counter, record).is_ok());
+                    assert!(seen.insert((channel, counter)), "({channel}, {counter}) repeated");
+                }
+            }
+        }
+        assert_eq!(pool.workers[0].enclave.send_nonce(), 7, "1 + 2 + 1 + 2 + 1 records");
+    }
+
+    #[test]
+    fn guard_trip_survives_more_switches_than_the_audit_ring_holds() {
+        use crate::attack::{corpus, Expected};
+        use crate::audit::{open_audit_export, AuditKind, AUDIT_CAPACITY};
+        let manifest = Manifest::ccaas();
+        let (mut pool, bins) = tenants_pool(&manifest, &[ECHO_SUM]);
+        let tripping = corpus()
+            .into_iter()
+            .find(|a| matches!(a.expected, Expected::RuntimeAbort(_)))
+            .unwrap()
+            .binary
+            .serialize();
+        pool.install_all(&tripping).unwrap();
+        let trip = pool.serve_on(0, b"", 1_000_000).unwrap();
+        assert!(matches!(trip.exit, RunExit::PolicyAbort { .. }), "{:?}", trip.exit);
+        for _ in 0..=AUDIT_CAPACITY {
+            pool.install_all(&bins[0]).unwrap();
+            assert_eq!(pool.serve_on(0, &[2, 3], 1_000_000).unwrap().exit.exit_value(), Some(5));
+            pool.install_all(&tripping).unwrap();
+        }
+        let w = &mut pool.workers[0];
+        let counter = w.enclave.send_nonce();
+        let sealed = w.enclave.ecall_export_audit().unwrap();
+        let log = open_audit_export(&[3; 32], 0, counter, &sealed).unwrap();
+        assert!(
+            log.events.iter().any(|e| e.kind == AuditKind::GuardTrip),
+            "the trip was evicted: {:?}",
+            log.events
+        );
+        assert_eq!(log.dropped(), 0, "switches add no audit events");
+    }
+
+    #[test]
+    fn prepared_images_store_only_their_nonzero_pages() {
+        let mut manifest = Manifest::ccaas();
+        manifest.policy = PolicySet::full();
+        let layout = EnclaveLayout::new(MemConfig::small());
+        let mut enclave = BootstrapEnclave::new(layout.clone(), manifest.clone());
+        let binary = produce(ECHO_SUM, &manifest.policy).unwrap().serialize();
+        let prepared = enclave.install_capture(&binary).unwrap();
+        let total = (layout.elrange.len() / deflection_sgx_sim::layout::PAGE_SIZE) as usize;
+        assert!(prepared.mem.enclave_pages() <= 8, "{} of {total}", prepared.mem.enclave_pages());
+        assert_eq!(prepared.mem.untrusted_pages(), 0);
     }
 
     #[test]

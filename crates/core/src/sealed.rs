@@ -193,7 +193,7 @@ impl PreparedInstall {
         Ok(PreparedInstall {
             measurement,
             code_hash,
-            mem,
+            mem: mem.image(),
             installed,
             io,
             binary: binary.to_vec(),

@@ -219,7 +219,6 @@ fn killed_workers_under_sustained_admission_load_lose_no_verdicts() {
                 // outruns the pool and sheds fire alongside the kills.
                 high_water: 8,
                 batch_max: 8,
-                batch_wait: Duration::from_micros(200),
             },
             TenantRegistry::new(&manifest()),
         );

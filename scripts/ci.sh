@@ -47,6 +47,12 @@ cargo test -q
 echo "==> tier-1: chaos/fault-injection suite (pool_chaos, sealed_install)"
 cargo test -q -p deflection-core --test pool_chaos --test sealed_install
 
+# perfbench is a standalone package (its own workspace and lockfile), so
+# the workspace commands above never compile it; it builds against the
+# pool and admission APIs by path, and its oracles pin serving verdicts.
+echo "==> tier-1: perfbench's own tests (standalone package)"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 # The icache differential suite runs under the default (traced) dispatch
 # above; force one pass through the decode-every-step environment switch so
 # the env-var plumbing the CI differential job depends on cannot rot.

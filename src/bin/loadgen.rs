@@ -49,7 +49,6 @@ fn sim_config(mix: &[MixEntry], arrival: Arrival, total: usize, seed: u64) -> Se
         // keeps the shedding-regime p99 inside the 10x envelope.
         high_water: 64,
         batch_max: 32,
-        batch_wait_us: 500,
         seed,
     }
 }

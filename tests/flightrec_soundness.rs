@@ -270,12 +270,7 @@ fn admission_lanes_show_enqueue_admit_claim_ordering() {
     FlightRecorder::enable();
 
     let fe = AdmissionFrontend::new(
-        AdmissionConfig {
-            queue_capacity: 8,
-            high_water: 4,
-            batch_max: 4,
-            batch_wait: std::time::Duration::from_micros(200),
-        },
+        AdmissionConfig { queue_capacity: 8, high_water: 4, batch_max: 4 },
         TenantRegistry::new(&manifest),
     );
     let tenant = fe
