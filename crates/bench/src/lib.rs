@@ -50,35 +50,13 @@ pub struct Sample {
 /// trusted.
 #[must_use]
 pub fn measure(source: &str, input: &[u8], policy: &PolicySet, config: &MemConfig) -> Sample {
-    measure_mode(source, input, policy, config, false)
+    measure_exec_mode(source, input, policy, config, ExecMode::Traced)
 }
 
-/// [`measure`] with an explicit decode mode: `reference = true` forces the
-/// VM's decode-every-step path (the pre-icache semantics), `false` uses the
-/// production default (superblock trace dispatch). Kept for callers that
-/// only care about the cached/uncached split; the `ablation_icache` bench
-/// uses [`measure_exec_mode`] to separate all three dispatch modes.
-///
-/// # Panics
-///
-/// Panics if the workload does not halt cleanly — benchmark fixtures are
-/// trusted.
-#[must_use]
-pub fn measure_mode(
-    source: &str,
-    input: &[u8],
-    policy: &PolicySet,
-    config: &MemConfig,
-    reference: bool,
-) -> Sample {
-    let mode = if reference { ExecMode::Reference } else { ExecMode::Traced };
-    measure_exec_mode(source, input, policy, config, mode)
-}
-
-/// [`measure`] pinned to one of the VM's three dispatch modes: superblock
-/// traces (the production default), per-instruction block dispatch, or the
-/// decode-every-step reference interpreter. The `ablation_icache` bench
-/// diffs all three; everything else measures the production configuration.
+/// [`measure`] pinned to one of the VM's dispatch modes: superblock traces
+/// (the production path) or the decode-every-step reference oracle. The
+/// `ablation_icache` bench diffs the two; everything else measures the
+/// production configuration.
 ///
 /// # Panics
 ///

@@ -1047,9 +1047,6 @@ impl EnclavePool {
         requests: &[T],
         fuel: u64,
     ) -> Result<Vec<RunReport>, EcallError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
         // One causal ID per request, minted at batch entry — every later
         // event for request `i` (claim, run, seal, fault, retry) is
         // attributed to `traces[i]` regardless of which worker thread
@@ -1060,7 +1057,7 @@ impl EnclavePool {
         }
         // Collecting per-request verdicts short-circuits at the first
         // `Err` in request order — exactly the lowest-request-index rule.
-        self.serve_batch(requests, &traces, fuel).into_iter().collect()
+        self.serve_parallel_each_traced(requests, &traces, fuel).into_iter().collect()
     }
 
     /// Serves a batch like [`EnclavePool::serve_parallel`] but with
@@ -1074,8 +1071,10 @@ impl EnclavePool {
     /// one tenant's verifier-rejected binary must not eat its
     /// batch-mates' reports. `traces.len()` must equal `requests.len()`.
     ///
-    /// Scheduling, respawn, stranded-retry and accounting behavior are
-    /// bit-identical to `serve_parallel`; that method is now a thin
+    /// This is the work-stealing batch engine itself: scoped worker
+    /// threads claim request indices from a shared counter, stranded
+    /// requests are retried serially in index order, and the per-request
+    /// outcomes are returned in request order. `serve_parallel` is a thin
     /// wrapper that mints traces and collapses this vector with the
     /// lowest-request-index error rule.
     pub fn serve_parallel_each_traced<T: AsRef<[u8]> + Sync>(
@@ -1088,21 +1087,6 @@ impl EnclavePool {
         if requests.is_empty() {
             return Vec::new();
         }
-        self.serve_batch(requests, traces, fuel)
-    }
-
-    /// The shared work-stealing batch engine behind
-    /// [`EnclavePool::serve_parallel`] and
-    /// [`EnclavePool::serve_parallel_each_traced`]: scoped worker threads
-    /// claim request indices from a shared counter, stranded requests are
-    /// retried serially in index order, and the per-request outcomes are
-    /// returned in request order.
-    fn serve_batch<T: AsRef<[u8]> + Sync>(
-        &mut self,
-        requests: &[T],
-        traces: &[TraceId],
-        fuel: u64,
-    ) -> Vec<Result<RunReport, EcallError>> {
         let _batch_span = Span::start(&METRICS.pool_serve_batch_ns);
         let ctx = RespawnCtx {
             layout: &self.layout,

@@ -804,18 +804,7 @@ impl BootstrapEnclave {
         self.vm.as_mut().expect("binary installed").set_aex(injector);
     }
 
-    /// Switches the VM between icache dispatch (default) and the
-    /// decode-every-step reference mode (differential tests and the
-    /// `ablation_icache` bench).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no binary is installed.
-    pub fn set_decode_every_step(&mut self, on: bool) {
-        self.vm.as_mut().expect("binary installed").set_decode_every_step(on);
-    }
-
-    /// Selects the VM dispatch mode (traced / block / reference) —
+    /// Selects the VM dispatch mode (traced, or the reference oracle) —
     /// differential tests and the `ablation_icache` bench.
     ///
     /// # Panics
@@ -893,6 +882,10 @@ impl BootstrapEnclave {
         // provide_input call refreshes the buffer.
         self.direct_input_pending = false;
         let exit = vm.run(fuel, &mut self.host);
+        // Queued messages belong to this run's request: whatever it did not
+        // `recv` must not reach the next request, whose input would
+        // otherwise queue behind them instead of loading.
+        self.host.inbox.clear();
         let mut stats = vm.stats;
         // Policy-relevant outcomes land in the in-enclave audit ring; they
         // leave the enclave only via the sealed, budget-charged export.
@@ -1151,6 +1144,40 @@ mod tests {
         // The instance stays usable: the next run faults the same way.
         e.provide_input(b"def").unwrap();
         assert!(matches!(e.run(1_000_000).unwrap().exit, RunExit::Fault(_)));
+    }
+
+    #[test]
+    fn unread_queued_input_does_not_leak_into_the_next_request() {
+        let policy = PolicySet::p1();
+        let obj = produce("fn main() -> int { return input_byte(0); }", &policy).unwrap();
+        let mut e = enclave(policy);
+        e.install_plain(&obj.serialize()).unwrap();
+        e.provide_input(&[10]).unwrap(); // loaded into the input buffer
+        e.provide_input(&[20]).unwrap(); // queued, never received
+        assert_eq!(e.run(1_000_000).unwrap().exit, RunExit::Halted { exit: 10 });
+        assert!(e.host.inbox.is_empty(), "a run must consume its request's queue");
+        e.provide_input(&[30]).unwrap();
+        assert_eq!(e.run(1_000_000).unwrap().exit, RunExit::Halted { exit: 30 });
+        assert!(e.host.inbox.is_empty());
+    }
+
+    #[test]
+    fn inbox_stays_empty_for_a_binary_without_io_block() {
+        use crate::attack::{corpus, Expected};
+        let mut e = corpus()
+            .into_iter()
+            .filter(|a| matches!(a.expected, Expected::RuntimeAbort(_)))
+            .find_map(|a| {
+                let mut e = enclave(PolicySet::full());
+                e.install_plain(&a.binary.serialize()).unwrap();
+                e.host.io.is_none().then_some(e)
+            })
+            .expect("a runtime-abort corpus binary without an __io block");
+        for _ in 0..100 {
+            e.provide_input(b"request").unwrap();
+            let _ = e.run(1_000_000).unwrap();
+        }
+        assert_eq!(e.host.inbox.len(), 0, "every request must leave with its run");
     }
 
     #[test]

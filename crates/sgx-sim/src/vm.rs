@@ -88,17 +88,14 @@ impl RunExit {
     }
 }
 
-/// How the run loop dispatches instructions. All three modes are proven
+/// How the run loop dispatches instructions. The two modes are proven
 /// observationally identical by `tests/icache_differential.rs`; the
-/// non-default modes exist as auditable oracles and ablation baselines.
+/// reference mode exists only as that auditable oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Superblock trace dispatch (the default): predecoded multi-branch
     /// traces with trace-to-trace chaining and in-trace side-exit checks.
     Traced,
-    /// Per-instruction icache dispatch in AEX-sized blocks — the PR-5
-    /// mid-tier, kept as the ablation baseline traces must beat.
-    Block,
     /// Fetch + decode every step from raw bytes, check the AEX schedule
     /// every step — the pre-icache reference semantics.
     Reference,
@@ -186,26 +183,6 @@ pub struct Vm {
     profile: VmProfile,
 }
 
-/// Process-wide default dispatch mode, read once from the environment:
-/// `DEFLECTION_DECODE_EVERY_STEP` forces [`ExecMode::Reference`],
-/// `DEFLECTION_BLOCK_DISPATCH` forces [`ExecMode::Block`], otherwise
-/// [`ExecMode::Traced`].
-fn exec_mode_default() -> ExecMode {
-    use std::sync::OnceLock;
-    static DEFAULT: OnceLock<ExecMode> = OnceLock::new();
-    let set =
-        |var: &str| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0" && v != "false");
-    *DEFAULT.get_or_init(|| {
-        if set("DEFLECTION_DECODE_EVERY_STEP") {
-            ExecMode::Reference
-        } else if set("DEFLECTION_BLOCK_DISPATCH") {
-            ExecMode::Block
-        } else {
-            ExecMode::Traced
-        }
-    })
-}
-
 impl Vm {
     /// Creates a VM over `mem` with `pc` at `entry` and `rsp` at the top of
     /// the target stack.
@@ -220,7 +197,7 @@ impl Vm {
             aex: AexInjector::none(),
             stats: ExecStats::default(),
             icache,
-            mode: exec_mode_default(),
+            mode: ExecMode::Traced,
             block_lens: LocalHistogram::new(),
             trace_lens: LocalHistogram::new(),
             sample_due: u64::MAX,
@@ -281,29 +258,10 @@ impl Vm {
         self.aex = aex;
     }
 
-    /// Selects the dispatch mode. All modes must be observationally
-    /// identical; the non-default ones exist for differential tests and
-    /// the `ablation_icache` bench.
+    /// Selects the dispatch mode: [`ExecMode::Reference`] is the oracle
+    /// for differential tests and the `ablation_icache` bench.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.mode = mode;
-    }
-
-    /// The active dispatch mode.
-    #[must_use]
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// Compatibility shim: `true` selects [`ExecMode::Reference`], `false`
-    /// the default [`ExecMode::Traced`].
-    pub fn set_decode_every_step(&mut self, on: bool) {
-        self.mode = if on { ExecMode::Reference } else { ExecMode::Traced };
-    }
-
-    /// Whether the reference (decode-every-step) mode is active.
-    #[must_use]
-    pub fn decode_every_step(&self) -> bool {
-        self.mode == ExecMode::Reference
     }
 
     /// Icache event counters accumulated so far.
@@ -346,7 +304,6 @@ impl Vm {
         let tbefore = self.icache.trace_stats;
         let exit = match self.mode {
             ExecMode::Traced => self.run_traced(fuel, host),
-            ExecMode::Block => self.run_cached(fuel, host),
             ExecMode::Reference => self.run_reference(fuel, host),
         };
         // Flush hardware-model counters once per ECall-like boundary; the
@@ -377,11 +334,12 @@ impl Vm {
         exit
     }
 
-    /// Superblock trace dispatch: like the block mode, the AEX plan bounds
-    /// how many instructions run unchecked, but within a block execution
-    /// threads through predecoded traces — crossing direct branches without
-    /// re-entering the lookup path, chaining trace to trace, and falling
-    /// back to single-step dispatch only where no trace can form.
+    /// Superblock trace dispatch: the AEX plan splits the run into blocks
+    /// between two fire points, so no per-step schedule check is needed;
+    /// within a block execution threads through predecoded traces —
+    /// crossing direct branches without re-entering the lookup path,
+    /// chaining trace to trace, and falling back to single-step dispatch
+    /// only where no trace can form.
     fn run_traced(&mut self, fuel: u64, host: &mut dyn VmHost) -> RunExit {
         let mut remaining = fuel;
         // Whether the previous trace completed onto its successor without
@@ -537,40 +495,6 @@ impl Vm {
         (executed, end)
     }
 
-    /// Block dispatch: between two AEX fire points no per-step schedule
-    /// check is needed, so instructions dispatch straight out of the icache
-    /// in a tight loop, falling back to fetch+decode (and filling the
-    /// cache) only on a miss.
-    fn run_cached(&mut self, fuel: u64, host: &mut dyn VmHost) -> RunExit {
-        let mut remaining = fuel;
-        while remaining > 0 {
-            let (fire, block) = self.aex.plan(self.stats.instructions, remaining);
-            if fire {
-                self.aex.deliver(&self.cpu, &mut self.mem);
-                self.stats.aex_injected += 1;
-            }
-            self.block_lens.observe(block);
-            for _ in 0..block {
-                if self.stats.instructions >= self.sample_due {
-                    self.profile_sample();
-                }
-                self.stats.instructions += 1;
-                let event = match self.icache.lookup(self.cpu.pc, &self.mem) {
-                    Some((inst, len)) => {
-                        let next = self.cpu.pc.wrapping_add(len as u64);
-                        self.cpu.execute(inst, next, &mut self.mem)
-                    }
-                    None => self.step_on_miss(),
-                };
-                if let Some(exit) = self.dispatch_event(event, host) {
-                    return exit;
-                }
-            }
-            remaining -= block;
-        }
-        RunExit::OutOfFuel
-    }
-
     /// Decode slow path: fetch + decode once, fill the cache, execute.
     fn step_on_miss(&mut self) -> Result<StepEvent, Fault> {
         let pc = self.cpu.pc;
@@ -709,9 +633,9 @@ mod tests {
     }
 
     #[test]
-    fn all_three_modes_agree_under_aex() {
-        // A loop with periodic AEX: traced, block and reference dispatch
-        // must land on exactly the same counters and exit.
+    fn traced_and_reference_agree_under_aex() {
+        // A loop with periodic AEX: traced and reference dispatch must land
+        // on exactly the same counters and exit.
         let build = |rel: i32| {
             vec![
                 Inst::AluRI { op: deflection_isa::AluOp::Add, dst: Reg::RBX, imm: 1 },
@@ -731,12 +655,9 @@ mod tests {
             (exit, vm.stats, vm.icache_stats(), vm.trace_stats())
         };
         let (exit_t, stats_t, _, traces_t) = run_mode(ExecMode::Traced);
-        let (exit_b, stats_b, icache_b, traces_b) = run_mode(ExecMode::Block);
         let (exit_r, stats_r, icache_r, traces_r) = run_mode(ExecMode::Reference);
         assert_eq!(exit_t, RunExit::Halted { exit: 7 });
-        assert_eq!(exit_t, exit_b);
         assert_eq!(exit_t, exit_r);
-        assert_eq!(stats_t, stats_b);
         assert_eq!(stats_t, stats_r);
         // Traced mode really traced: the backward Jcc kept the loop inside
         // one trace (wrapping counts as chaining) and the final fallthrough
@@ -744,11 +665,52 @@ mod tests {
         assert!(traces_t.formed >= 1);
         assert!(traces_t.chained > 0);
         assert_eq!(traces_t.side_exits, 1);
-        // Block mode really cached, and neither baseline touched traces.
-        assert!(icache_b.hits > icache_b.fills);
-        assert_eq!(traces_b, TraceStats::default());
+        // The oracle never touched the icache or the traces.
         assert_eq!(icache_r, crate::icache::ICacheStats::default());
         assert_eq!(traces_r, TraceStats::default());
+    }
+
+    #[test]
+    fn page_straddling_instruction_single_steps_identically_under_aex() {
+        // Nop padding puts the loop head — a 10-byte MovRI — at code offset
+        // 0xffb, so it straddles the first code page. No trace can start on
+        // it and the icache never holds it, so traced dispatch single-steps
+        // it on every iteration; the reference interpreter must agree on
+        // exit, counters and every register.
+        const HEAD: usize = 0xffb;
+        let build = |rel: i32| {
+            let mut prog = vec![Inst::Nop; HEAD];
+            prog.extend([
+                Inst::MovRI { dst: Reg::RCX, imm: 0x1122_3344_5566_7788 },
+                Inst::AluRI { op: deflection_isa::AluOp::Add, dst: Reg::RBX, imm: 1 },
+                Inst::AluRR { op: deflection_isa::AluOp::Add, dst: Reg::RDX, src: Reg::RBX },
+                Inst::CmpRI { lhs: Reg::RBX, imm: 40 },
+                Inst::Jcc { cc: deflection_isa::CondCode::B, rel },
+                Inst::MovRI { dst: Reg::RAX, imm: 7 },
+                Inst::Halt,
+            ]);
+            prog
+        };
+        let (_, offs) = encode_program(&build(0));
+        assert_eq!(offs[HEAD], 0xffb);
+        assert_eq!(offs[HEAD + 1] - offs[HEAD], 10, "the loop head must straddle the page");
+        let prog = build(-((offs[HEAD + 5] - offs[HEAD]) as i32)); // back to the MovRI
+        let run_mode = |mode: ExecMode| {
+            let mut vm = vm_with(&prog);
+            assert_eq!(vm.mem.layout().code.start % crate::layout::PAGE_SIZE, 0);
+            vm.set_exec_mode(mode);
+            vm.set_aex(AexInjector::new(AexSchedule::Periodic { interval: 13 }));
+            let exit = vm.run(1_000_000, &mut NullHost);
+            (exit, vm.stats, (vm.cpu.regs, vm.cpu.flags, vm.cpu.pc))
+        };
+        let (exit_t, stats_t, cpu_t) = run_mode(ExecMode::Traced);
+        let (exit_r, stats_r, cpu_r) = run_mode(ExecMode::Reference);
+        assert_eq!(exit_t, RunExit::Halted { exit: 7 });
+        assert_eq!(exit_t, exit_r);
+        assert_eq!(stats_t, stats_r);
+        assert_eq!(stats_t.instructions, HEAD as u64 + 5 * 40 + 2);
+        assert_eq!(stats_t.aex_injected, stats_t.instructions / 13);
+        assert_eq!(cpu_t, cpu_r);
     }
 
     #[test]
@@ -802,7 +764,7 @@ mod tests {
             Inst::MovRI { dst: Reg::RAX, imm: 1 }, // becomes imm: 77 at runtime
             Inst::Halt,
         ];
-        for mode in [ExecMode::Traced, ExecMode::Block, ExecMode::Reference] {
+        for mode in [ExecMode::Traced, ExecMode::Reference] {
             let mut vm = vm_with(&prog);
             vm.set_exec_mode(mode);
             let exit = vm.run(100, &mut NullHost);
@@ -863,12 +825,12 @@ mod tests {
             (offs[6] - offs[3]) as i32,    // Jcc → Halt
             -((offs[6] - offs[0]) as i32), // Jmp → back to the MovRI
         );
-        for reference in [false, true] {
+        for mode in [ExecMode::Traced, ExecMode::Reference] {
             let mut vm = vm_with(&prog);
-            vm.set_decode_every_step(reference);
+            vm.set_exec_mode(mode);
             let exit = vm.run(1000, &mut NullHost);
-            assert_eq!(exit, RunExit::Halted { exit: 0x22 }, "reference={reference}");
-            if !reference {
+            assert_eq!(exit, RunExit::Halted { exit: 0x22 }, "{mode:?}");
+            if mode == ExecMode::Traced {
                 assert!(vm.icache_stats().invalidations >= 1);
             }
         }
@@ -908,7 +870,7 @@ mod tests {
         };
         let (_, offs) = encode_program(&build(0));
         let prog = build(-(offs[3] as i32));
-        for mode in [ExecMode::Traced, ExecMode::Block, ExecMode::Reference] {
+        for mode in [ExecMode::Traced, ExecMode::Reference] {
             // Baseline without the profiler: identical exit and stats.
             let mut base = vm_with(&prog);
             base.set_exec_mode(mode);

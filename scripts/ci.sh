@@ -53,12 +53,6 @@ cargo test -q -p deflection-core --test pool_chaos --test sealed_install
 echo "==> tier-1: perfbench's own tests (standalone package)"
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 
-# The icache differential suite runs under the default (traced) dispatch
-# above; force one pass through the decode-every-step environment switch so
-# the env-var plumbing the CI differential job depends on cannot rot.
-echo "==> tier-1: icache differential with DEFLECTION_DECODE_EVERY_STEP=1"
-DEFLECTION_DECODE_EVERY_STEP=1 cargo test -q --test icache_differential
-
 # Elision-precision ratchet: the test regenerates PRECISION.json and fails
 # if any program proves fewer guards than the committed baseline. The diff
 # below closes the other direction — an *improvement* (or any drift) must
@@ -91,24 +85,19 @@ if [ "$SMOKE" = "1" ]; then
             echo "bench smoke failed: $bench" >&2
             exit 1
         }
-        # Emit a machine-readable summary per bench — name, status, and the
-        # Criterion measurement lines the run produced — with no external
-        # interpreter, and copy it to the repo root so the trajectory is
+        # Emit a machine-readable summary per bench — name, status, host
+        # stamp, and the one-line JSON measurement objects the Criterion
+        # shim printed — and copy it to the repo root so the trajectory is
         # visible outside gitignored target/.
         json="target/bench-smoke/BENCH_${bench}.json"
         {
             printf '{\n  "bench": "%s",\n  "status": "ok",\n' "$bench"
             printf '  "host": {"available_parallelism": %s, "smoke": true, "quick": true},\n' "$CORES"
-            printf '  "measurements": ['
-            first=1
-            while IFS= read -r line; do
-                esc=$(printf '%s' "$line" | sed -e 's/\\/\\\\/g' -e 's/"/\\"/g')
-                if [ "$first" = 1 ]; then first=0; else printf ','; fi
-                printf '\n    "%s"' "$esc"
-            done < <(sed -n 's/^[[:space:]]*\(bench .*\)$/\1/p' "$log")
-            printf '\n  ]\n}\n'
+            printf '  "measurements": [\n'
+            { grep '^{"id": ' "$log" || true; } | sed -e 's/^/    /' -e '$!s/$/,/'
+            printf '  ]\n}\n'
         } >"$json"
-        count=$(sed -n 's/^[[:space:]]*bench .*$/x/p' "$log" | wc -l)
+        count=$(grep -c '^{"id": ' "$log" || true)
         echo "    wrote $json ($count measurements)"
     done
 

@@ -25,14 +25,14 @@ pub struct HostStamp {
     pub smoke: bool,
 }
 
-/// One parsed measurement line from the vendored-criterion report format:
-/// `bench {id:<40} {min} .. {max} (mean {mean}, n={n})`.
+/// One measurement object as the vendored criterion shim prints it:
+/// `{"id": …, "min_ns": …, "mean_ns": …, "max_ns": …, "n": …}`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Benchmark id, e.g. `nbench/numeric_sort/baseline`.
     pub id: String,
-    /// Mean duration in nanoseconds.
-    pub mean_ns: f64,
+    /// Mean duration in integer nanoseconds.
+    pub mean_ns: u64,
     /// Sample count.
     pub n: u64,
 }
@@ -46,7 +46,7 @@ pub struct BenchFile {
     pub status: String,
     /// Host context, absent in files emitted before stamping existed.
     pub host: Option<HostStamp>,
-    /// Parsed measurement lines.
+    /// Parsed measurement objects.
     pub measurements: Vec<Measurement>,
 }
 
@@ -98,40 +98,6 @@ pub const TAIL_THRESHOLD_FLOOR_PCT: f64 = 100.0;
 /// trend.
 pub const TAIL_MIN_COUNT: u64 = 4;
 
-/// Parses a duration rendered by the vendored criterion shim
-/// (`fmt_dur`): `{ns} ns`, `{:.2} µs`, `{:.2} ms` or `{:.2} s`.
-#[must_use]
-pub fn parse_duration_ns(s: &str) -> Option<f64> {
-    let s = s.trim();
-    let (value, scale) = if let Some(v) = s.strip_suffix(" ns") {
-        (v, 1.0)
-    } else if let Some(v) = s.strip_suffix(" µs") {
-        (v, 1e3)
-    } else if let Some(v) = s.strip_suffix(" ms") {
-        (v, 1e6)
-    } else if let Some(v) = s.strip_suffix(" s") {
-        (v, 1e9)
-    } else {
-        return None;
-    };
-    value.trim().parse::<f64>().ok().map(|v| v * scale)
-}
-
-/// Parses one `bench …` measurement line. Returns `None` for the
-/// "no samples" form and anything else that is not a measurement.
-#[must_use]
-pub fn parse_measurement(line: &str) -> Option<Measurement> {
-    let rest = line.trim().strip_prefix("bench ")?;
-    let id = rest.split_whitespace().next()?.to_string();
-    let mean_start = rest.find("(mean")? + "(mean".len();
-    let tail = &rest[mean_start..];
-    let comma = tail.find(',')?;
-    let mean_ns = parse_duration_ns(&tail[..comma])?;
-    let n = tail[comma..].trim_start_matches(',').trim().strip_prefix("n=")?;
-    let n = n.trim_end_matches(')').trim().parse::<u64>().ok()?;
-    Some(Measurement { id, mean_ns, n })
-}
-
 /// Extracts the string value of `"key": "value"` from a JSON-shaped line
 /// set (first occurrence), honoring backslash escapes — collector
 /// snapshots escape label values (e.g. `verdict=\"accept\"`), so the
@@ -181,14 +147,19 @@ pub fn parse_bench_file(text: &str) -> Option<BenchFile> {
             .and_then(|v| v.parse().ok()),
         smoke: json_raw_field(text, "smoke").as_deref() == Some("true"),
     });
-    // Measurement strings are JSON array elements, one per line; strip the
-    // quoting and trailing comma, then parse the embedded report line.
+    // Measurements are one-line JSON objects, one array element per line.
     let measurements = text
         .lines()
         .filter_map(|l| {
             let l = l.trim().trim_end_matches(',');
-            let inner = l.strip_prefix('"')?.strip_suffix('"')?;
-            parse_measurement(inner)
+            if !l.starts_with('{') || !l.contains("\"mean_ns\"") {
+                return None;
+            }
+            Some(Measurement {
+                id: json_string_field(l, "id")?,
+                mean_ns: json_raw_field(l, "mean_ns")?.parse().ok()?,
+                n: json_raw_field(l, "n")?.parse().ok()?,
+            })
         })
         .collect();
     Some(BenchFile { bench, status, host, measurements })
@@ -327,9 +298,10 @@ impl TrendReport {
                 match prev_of(&file.bench, &m.id) {
                     None => note.push_str("new"),
                     Some((pf, pm)) => {
-                        prev_ns = Some(pm.mean_ns);
-                        if pm.mean_ns > 0.0 {
-                            delta_pct = Some((m.mean_ns - pm.mean_ns) / pm.mean_ns * 100.0);
+                        let (curr, prev) = (m.mean_ns as f64, pm.mean_ns as f64);
+                        prev_ns = Some(prev);
+                        if prev > 0.0 {
+                            delta_pct = Some((curr - prev) / prev * 100.0);
                         }
                         let prev_cores = pf.host.and_then(|h| h.available_parallelism);
                         match (curr_cores, prev_cores) {
@@ -352,7 +324,7 @@ impl TrendReport {
                     bench: file.bench.clone(),
                     id: m.id.clone(),
                     prev_ns,
-                    curr_ns: m.mean_ns,
+                    curr_ns: m.mean_ns as f64,
                     delta_pct,
                     regressed,
                     note,
@@ -535,11 +507,18 @@ impl TrendReport {
 mod tests {
     use super::*;
 
-    fn bench_json(bench: &str, host: Option<(u64, bool)>, lines: &[&str]) -> String {
+    fn bench_json(bench: &str, host: Option<(u64, bool)>, rows: &[(&str, u64)]) -> String {
         let host = host.map_or(String::new(), |(cores, smoke)| {
             format!("  \"host\": {{\"available_parallelism\": {cores}, \"smoke\": {smoke}}},\n")
         });
-        let meas: Vec<String> = lines.iter().map(|l| format!("    \"{l}\"")).collect();
+        let meas: Vec<String> = rows
+            .iter()
+            .map(|(id, ns)| {
+                format!(
+                    "    {{\"id\": \"{id}\", \"min_ns\": {ns}, \"mean_ns\": {ns}, \"max_ns\": {ns}, \"n\": 3}}"
+                )
+            })
+            .collect();
         format!(
             "{{\n  \"bench\": \"{bench}\",\n  \"status\": \"ok\",\n{host}  \"measurements\": [\n{}\n  ]\n}}\n",
             meas.join(",\n")
@@ -547,68 +526,57 @@ mod tests {
     }
 
     #[test]
-    fn duration_parsing_matches_the_shim_formats() {
-        assert_eq!(parse_duration_ns("999 ns"), Some(999.0));
-        assert_eq!(parse_duration_ns("1.50 µs"), Some(1500.0));
-        assert_eq!(parse_duration_ns("4.78 ms"), Some(4_780_000.0));
-        assert_eq!(parse_duration_ns("2.00 s"), Some(2e9));
-        assert_eq!(parse_duration_ns("fast"), None);
-    }
-
-    #[test]
     fn measurement_lines_parse() {
-        let m = parse_measurement(
-            "bench nbench/numeric_sort/p1-p6                     6.84 ms ..      8.02 ms (mean      7.17 ms, n=10)",
-        )
-        .unwrap();
-        assert_eq!(m.id, "nbench/numeric_sort/p1-p6");
-        assert_eq!(m.n, 10);
-        assert!((m.mean_ns - 7_170_000.0).abs() < 1.0);
-        assert!(parse_measurement("bench x (no samples — routine never called iter)").is_none());
+        // The shim's own line shape, ignoring the file's framing lines and
+        // keeping the mean exact to the nanosecond.
+        let text = "{\n  \"bench\": \"table2_nbench\",\n  \"measurements\": [\n    \
+                    {\"id\": \"nbench/numeric_sort/p1-p6\", \"min_ns\": 6840212, \
+                    \"mean_ns\": 7171399, \"max_ns\": 8020004, \"n\": 10},\n    \
+                    {\"id\": \"quoted/\\\"id\\\"\", \"min_ns\": 1, \"mean_ns\": 2, \
+                    \"max_ns\": 3, \"n\": 1}\n  ]\n}\n";
+        let f = parse_bench_file(text).unwrap();
+        assert_eq!(
+            f.measurements,
+            vec![
+                Measurement { id: "nbench/numeric_sort/p1-p6".into(), mean_ns: 7_171_399, n: 10 },
+                Measurement { id: "quoted/\"id\"".into(), mean_ns: 2, n: 1 },
+            ]
+        );
+        assert!(parse_bench_file("{\"bench\": \"x\", \"measurements\": []}")
+            .unwrap()
+            .measurements
+            .is_empty());
     }
 
     #[test]
     fn bench_files_roundtrip_with_and_without_host_stamp() {
-        let stamped = bench_json(
-            "table2_nbench",
-            Some((8, true)),
-            &["bench a/b   1.00 ms ..   1.00 ms (mean   1.00 ms, n=3)"],
-        );
+        let stamped = bench_json("table2_nbench", Some((8, true)), &[("a/b", 1_000_000)]);
         let f = parse_bench_file(&stamped).unwrap();
         assert_eq!(f.bench, "table2_nbench");
         assert_eq!(f.host, Some(HostStamp { available_parallelism: Some(8), smoke: true }));
         assert_eq!(f.measurements.len(), 1);
-        let unstamped = bench_json(
-            "table2_nbench",
-            None,
-            &["bench a/b   1.00 ms ..   1.00 ms (mean   1.00 ms, n=3)"],
-        );
+        let unstamped = bench_json("table2_nbench", None, &[("a/b", 1_000_000)]);
         assert_eq!(parse_bench_file(&unstamped).unwrap().host, None);
     }
 
-    fn file(bench: &str, cores: Option<u64>, id: &str, mean: &str) -> BenchFile {
-        parse_bench_file(&bench_json(
-            bench,
-            cores.map(|c| (c, true)),
-            &[&format!("bench {id}   {mean} ..   {mean} (mean   {mean}, n=3)")],
-        ))
-        .unwrap()
+    fn file(bench: &str, cores: Option<u64>, id: &str, mean_ns: u64) -> BenchFile {
+        parse_bench_file(&bench_json(bench, cores.map(|c| (c, true)), &[(id, mean_ns)])).unwrap()
     }
 
     #[test]
     fn regression_detected_only_on_comparable_hosts() {
-        let prev = [file("fig8_seqgen", Some(4), "seqgen/full", "1.00 ms")];
-        let slow = [file("fig8_seqgen", Some(4), "seqgen/full", "2.00 ms")];
+        let prev = [file("fig8_seqgen", Some(4), "seqgen/full", 1_000_000)];
+        let slow = [file("fig8_seqgen", Some(4), "seqgen/full", 2_000_000)];
         let report = TrendReport::build(&slow, &prev, 25.0);
         assert!(report.has_regression());
         assert!((report.rows[0].delta_pct.unwrap() - 100.0).abs() < 0.01);
         // Same slowdown, different core counts: reported, not enforced.
-        let other_host = [file("fig8_seqgen", Some(2), "seqgen/full", "2.00 ms")];
+        let other_host = [file("fig8_seqgen", Some(2), "seqgen/full", 2_000_000)];
         let report = TrendReport::build(&other_host, &prev, 25.0);
         assert!(!report.has_regression());
         assert!(report.rows[0].note.contains("host cores changed"));
         // Unstamped previous file (pre-stamping era): never enforced.
-        let prev_unstamped = [file("fig8_seqgen", None, "seqgen/full", "1.00 ms")];
+        let prev_unstamped = [file("fig8_seqgen", None, "seqgen/full", 1_000_000)];
         let report = TrendReport::build(&slow, &prev_unstamped, 25.0);
         assert!(!report.has_regression());
         assert!(report.rows[0].note.contains("unstamped baseline"));
@@ -616,23 +584,23 @@ mod tests {
 
     #[test]
     fn speedups_and_small_drifts_pass() {
-        let prev = [file("fig8_seqgen", Some(4), "seqgen/full", "2.00 ms")];
-        let fast = [file("fig8_seqgen", Some(4), "seqgen/full", "1.00 ms")];
+        let prev = [file("fig8_seqgen", Some(4), "seqgen/full", 2_000_000)];
+        let fast = [file("fig8_seqgen", Some(4), "seqgen/full", 1_000_000)];
         assert!(!TrendReport::build(&fast, &prev, 25.0).has_regression());
-        let drift = [file("fig8_seqgen", Some(4), "seqgen/full", "2.20 ms")];
+        let drift = [file("fig8_seqgen", Some(4), "seqgen/full", 2_200_000)];
         assert!(!TrendReport::build(&drift, &prev, 25.0).has_regression());
     }
 
     #[test]
     fn core_gated_benches_never_regress_under_four_cores() {
-        let prev = [file("ablation_parallel_verify", Some(1), "verify/threads-4", "1.00 ms")];
-        let slow = [file("ablation_parallel_verify", Some(1), "verify/threads-4", "9.00 ms")];
+        let prev = [file("ablation_parallel_verify", Some(1), "verify/threads-4", 1_000_000)];
+        let slow = [file("ablation_parallel_verify", Some(1), "verify/threads-4", 9_000_000)];
         let report = TrendReport::build(&slow, &prev, 25.0);
         assert!(!report.has_regression());
         assert!(report.rows[0].note.contains("gated off"));
         // On a ≥4-core host the same bench does enforce.
-        let prev = [file("ablation_parallel_verify", Some(8), "verify/threads-4", "1.00 ms")];
-        let slow = [file("ablation_parallel_verify", Some(8), "verify/threads-4", "9.00 ms")];
+        let prev = [file("ablation_parallel_verify", Some(8), "verify/threads-4", 1_000_000)];
+        let slow = [file("ablation_parallel_verify", Some(8), "verify/threads-4", 9_000_000)];
         assert!(TrendReport::build(&slow, &prev, 25.0).has_regression());
     }
 
@@ -643,8 +611,8 @@ mod tests {
         // it — the property that makes it the first enforceable perf
         // baseline.
         assert!(!CORE_GATED_BENCHES.contains(&"ablation_icache"));
-        let prev = [file("ablation_icache", Some(1), "icache/numeric_sort/cached", "1.00 ms")];
-        let slow = [file("ablation_icache", Some(1), "icache/numeric_sort/cached", "9.00 ms")];
+        let prev = [file("ablation_icache", Some(1), "icache/numeric_sort/traced", 1_000_000)];
+        let slow = [file("ablation_icache", Some(1), "icache/numeric_sort/traced", 9_000_000)];
         assert!(TrendReport::build(&slow, &prev, 25.0).has_regression());
     }
 
@@ -655,8 +623,8 @@ mod tests {
         // the serial verifier), so it must never join CORE_GATED_BENCHES:
         // a 1-core CI host still gates on its trend.
         assert!(!CORE_GATED_BENCHES.contains(&"ablation_incremental"));
-        let prev = [file("ablation_incremental", Some(1), "incremental/patch_warm", "1.00 ms")];
-        let slow = [file("ablation_incremental", Some(1), "incremental/patch_warm", "9.00 ms")];
+        let prev = [file("ablation_incremental", Some(1), "incremental/patch_warm", 1_000_000)];
+        let slow = [file("ablation_incremental", Some(1), "incremental/patch_warm", 9_000_000)];
         assert!(TrendReport::build(&slow, &prev, 25.0).has_regression());
     }
 
@@ -666,8 +634,8 @@ mod tests {
         // single-threaded, so it must never join CORE_GATED_BENCHES: a
         // 1-core CI host still gates on the recorder-disabled budget.
         assert!(!CORE_GATED_BENCHES.contains(&"ablation_flightrec"));
-        let prev = [file("ablation_flightrec", Some(1), "flightrec/verify_serve/off", "1.00 ms")];
-        let slow = [file("ablation_flightrec", Some(1), "flightrec/verify_serve/off", "9.00 ms")];
+        let prev = [file("ablation_flightrec", Some(1), "flightrec/verify_serve/off", 1_000_000)];
+        let slow = [file("ablation_flightrec", Some(1), "flightrec/verify_serve/off", 9_000_000)];
         assert!(TrendReport::build(&slow, &prev, 25.0).has_regression());
     }
 
@@ -681,18 +649,18 @@ mod tests {
         // The >=4-core `admission_4w` series protects itself by not
         // registering (no row, nothing to gate) on smaller hosts.
         assert!(!CORE_GATED_BENCHES.contains(&"fig_serving"));
-        let prev = [file("fig_serving", Some(1), "fig_serving/admission_1w", "1.00 ms")];
-        let slow = [file("fig_serving", Some(1), "fig_serving/admission_1w", "9.00 ms")];
+        let prev = [file("fig_serving", Some(1), "fig_serving/admission_1w", 1_000_000)];
+        let slow = [file("fig_serving", Some(1), "fig_serving/admission_1w", 9_000_000)];
         assert!(TrendReport::build(&slow, &prev, 25.0).has_regression());
-        let prev = [file("fig_serving", Some(1), "fig_serving/sim_closed_100k", "1.00 ms")];
-        let slow = [file("fig_serving", Some(1), "fig_serving/sim_closed_100k", "9.00 ms")];
+        let prev = [file("fig_serving", Some(1), "fig_serving/sim_closed_100k", 1_000_000)];
+        let slow = [file("fig_serving", Some(1), "fig_serving/sim_closed_100k", 9_000_000)];
         assert!(TrendReport::build(&slow, &prev, 25.0).has_regression());
     }
 
     #[test]
     fn markdown_renders_rows_and_metrics_sections() {
-        let prev = [file("fig8_seqgen", Some(4), "seqgen/full", "1.00 ms")];
-        let curr = [file("fig8_seqgen", Some(4), "seqgen/full", "2.00 ms")];
+        let prev = [file("fig8_seqgen", Some(4), "seqgen/full", 1_000_000)];
+        let curr = [file("fig8_seqgen", Some(4), "seqgen/full", 2_000_000)];
         let report = TrendReport::build(&curr, &prev, 25.0);
         let metrics = vec![(
             "METRICS_smoke.json".to_string(),

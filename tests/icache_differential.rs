@@ -1,12 +1,11 @@
-//! Differential suite for the predecoded instruction + trace caches: all
-//! three VM dispatch modes — superblock traces (`Vm::run_traced`, the
-//! default), per-instruction block dispatch (`Vm::run_cached`) and the
-//! decode-every-step reference interpreter — must be *bit-identical*: same
-//! exit, same counters, same final memory image, same leak log — on every
-//! program shape we can throw at them: the full attack corpus, the elision
-//! corpus, every AEX schedule, fuel exhaustion mid-block and mid-trace,
-//! self-modifying code that patches a live trace, and proptest-generated
-//! programs.
+//! Differential suite for the predecoded instruction + trace caches: the
+//! VM's dispatch path — superblock traces (`Vm::run_traced`) — and its
+//! oracle, the decode-every-step reference interpreter, must be
+//! *bit-identical*: same exit, same counters, same final memory image,
+//! same leak log — on every program shape we can throw at them: the full
+//! attack corpus, the elision corpus, every AEX schedule, fuel exhaustion
+//! mid-block and mid-trace, self-modifying code that patches a live trace,
+//! and proptest-generated programs.
 //!
 //! The caches are pure performance artifacts; any observable divergence is
 //! a soundness bug, so these tests compare whole-machine snapshots rather
@@ -22,8 +21,6 @@ use deflection::sgx::layout::{EnclaveLayout, MemConfig};
 use deflection::sgx::mem::LeakRecord;
 use deflection::sgx::vm::{ExecMode, ExecStats, RunExit};
 use proptest::prelude::*;
-
-const ALL_MODES: [ExecMode; 3] = [ExecMode::Traced, ExecMode::Block, ExecMode::Reference];
 
 /// Everything an execution can observably produce. Two runs are equivalent
 /// iff their snapshots are `==`.
@@ -85,8 +82,8 @@ fn run_mode(
     Some(snapshot(&enclave, report))
 }
 
-/// Asserts all three dispatch modes agree, returning the traced snapshot
-/// (if the binary installed at all).
+/// Asserts traced dispatch agrees with the reference oracle, returning the
+/// traced snapshot (if the binary installed at all).
 fn assert_identical(
     name: &str,
     binary: &[u8],
@@ -96,13 +93,11 @@ fn assert_identical(
     fuel: u64,
 ) -> Option<Snapshot> {
     let traced = run_mode(binary, manifest, input, aex.clone(), fuel, ExecMode::Traced);
-    for mode in [ExecMode::Block, ExecMode::Reference] {
-        let other = run_mode(binary, manifest, input, aex.clone(), fuel, mode);
-        assert_eq!(
-            traced, other,
-            "{name}: traced and {mode:?} runs diverged ({aex:?}, fuel {fuel})"
-        );
-    }
+    let reference = run_mode(binary, manifest, input, aex.clone(), fuel, ExecMode::Reference);
+    assert_eq!(
+        traced, reference,
+        "{name}: traced and reference runs diverged ({aex:?}, fuel {fuel})"
+    );
     traced
 }
 
@@ -194,14 +189,12 @@ fn rewriter_coherence_prewarm_serves_patched_decodes() {
     assert_identical("honest", &binary, &manifest, b"", &aex, u64::MAX / 2)
         .expect("honest binary installs");
 
-    // Traced mode (the default): the install-time greedy trace cover must
-    // serve the whole run — zero demand fills AND zero demand formations.
-    let mut enclave =
-        BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest.clone());
+    // Traced dispatch: the install-time greedy trace cover must serve the
+    // whole run — zero demand fills AND zero demand formations.
+    let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest);
     enclave.set_owner_session([0x5A; 32]);
     enclave.install_plain(&binary).expect("verifies");
-    enclave.set_exec_mode(ExecMode::Traced);
-    enclave.set_aex(AexInjector::new(aex.clone()));
+    enclave.set_aex(AexInjector::new(aex));
     let report = enclave.run(u64::MAX / 2).expect("installed");
     assert!(matches!(report.exit, RunExit::Halted { .. }));
     let stats = enclave.icache_stats();
@@ -212,18 +205,6 @@ fn rewriter_coherence_prewarm_serves_patched_decodes() {
     assert!(traces.prewarmed > 0, "install must form the trace cover");
     assert_eq!(traces.formed, 0, "trace cover must need no demand formations");
     assert_eq!(traces.invalidated, 0, "nothing wrote code after install");
-
-    // Block mode: the same pre-warm serves every per-instruction dispatch.
-    let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest);
-    enclave.set_owner_session([0x5A; 32]);
-    enclave.install_plain(&binary).expect("verifies");
-    enclave.set_exec_mode(ExecMode::Block);
-    enclave.set_aex(AexInjector::new(aex));
-    let report = enclave.run(u64::MAX / 2).expect("installed");
-    assert!(matches!(report.exit, RunExit::Halted { .. }));
-    let stats = enclave.icache_stats();
-    assert!(stats.hits > 0, "block dispatch must serve from the pre-warm");
-    assert_eq!(stats.fills, 0, "pre-warm must cover every executed instruction");
 }
 
 /// The hardest coherence case: code patched *while a formed trace over it
@@ -269,7 +250,6 @@ fn self_modifying_store_kills_live_traces_mid_run() {
     let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), permissive);
     enclave.set_owner_session([0x5A; 32]);
     enclave.install_plain(&binary).expect("installs under no policy");
-    enclave.set_exec_mode(ExecMode::Traced);
     let _ = enclave.run(1_000_000).expect("installed");
     assert!(
         enclave.trace_stats().invalidated >= 1,
@@ -308,7 +288,7 @@ fn rewrite_after_warm_is_observed_by_the_cache() {
     let manifest = Manifest::ccaas();
     let binary = produce(LOOP_SRC, &manifest.policy).expect("compiles").serialize();
     let mut outcomes = Vec::new();
-    for mode in ALL_MODES {
+    for mode in [ExecMode::Traced, ExecMode::Reference] {
         let layout = EnclaveLayout::new(MemConfig::small());
         let mut mem = Memory::new(layout.clone());
         let installed = install(&binary, &manifest, &mut mem).expect("verifies");
@@ -338,13 +318,11 @@ fn rewrite_after_warm_is_observed_by_the_cache() {
             RunExit::PolicyAbort { code: abort_codes::AEX },
             "the post-warm patch must take effect ({mode:?})"
         );
-        if mode != ExecMode::Reference {
+        if mode == ExecMode::Traced {
             assert!(
                 vm.icache_stats().invalidations > 0,
-                "the rewrite must invalidate warm icache pages ({mode:?})"
+                "the rewrite must invalidate warm icache pages"
             );
-        }
-        if mode == ExecMode::Traced {
             assert!(
                 vm.trace_stats().invalidated > 0,
                 "the rewrite must kill the install-time trace cover"
@@ -352,12 +330,11 @@ fn rewrite_after_warm_is_observed_by_the_cache() {
         }
         outcomes.push((exit, vm.stats));
     }
-    assert_eq!(outcomes[0], outcomes[1], "traced and block runs diverged after the patch");
-    assert_eq!(outcomes[0], outcomes[2], "traced and reference runs diverged after the patch");
+    assert_eq!(outcomes[0], outcomes[1], "traced and reference runs diverged after the patch");
 }
 
-/// The reference mode is also reachable through the environment switch the
-/// CI differential job uses; the setter must win over the default.
+/// The reference oracle, selected through the setter, never touches the
+/// icache or the trace cache.
 #[test]
 fn reference_mode_reports_empty_icache_stats() {
     let manifest = Manifest::ccaas();
@@ -365,7 +342,7 @@ fn reference_mode_reports_empty_icache_stats() {
     let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest);
     enclave.set_owner_session([0x5A; 32]);
     enclave.install_plain(&binary).expect("verifies");
-    enclave.set_decode_every_step(true);
+    enclave.set_exec_mode(ExecMode::Reference);
     let report = enclave.run(u64::MAX / 2).expect("installed");
     assert!(matches!(report.exit, RunExit::Halted { .. }));
     let stats = enclave.icache_stats();
@@ -401,8 +378,8 @@ fn render_program(body_ops: &[(u8, i32)], trip: u8) -> String {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
-    /// Generated programs × generated AEX interval × generated fuel: the
-    /// cached interpreter has no program shape of its own to hide behind.
+    /// Generated programs × generated AEX interval × generated fuel: traced
+    /// dispatch has no program shape of its own to hide behind.
     #[test]
     fn generated_programs_are_bit_identical(
         body_ops in proptest::collection::vec((0u8..6, -100i32..100), 1..6),
