@@ -38,7 +38,7 @@ use crate::cfg::{Cfg, Edge, EdgeKind};
 use crate::interval::Interval;
 use deflection_isa::{AluOp, CondCode, Disassembly, Inst, MemOperand, Reg};
 use deflection_telemetry::{Span, METRICS};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -191,6 +191,15 @@ pub(crate) struct Tracked {
     origin: Option<i64>,
 }
 
+impl Tracked {
+    /// Join (or widened join); the origin survives only where both agree.
+    fn merge(self, b: Tracked, widen: bool) -> Tracked {
+        let joined = self.val.join(b.val);
+        let val = if widen { self.val.widen(joined) } else { joined };
+        Tracked { val, origin: if self.origin == b.origin { self.origin } else { None } }
+    }
+}
+
 /// Upper bound on relational facts tracked per state.
 const MAX_RELS: usize = 8;
 
@@ -211,8 +220,9 @@ pub(crate) struct RelFact {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct AbsState {
     regs: [Tracked; 16],
-    /// Frame slot delta (relative to `stack_hi`) -> content.
-    slots: BTreeMap<i64, Tracked>,
+    /// Frame slot delta (relative to `stack_hi`) -> content, sorted by
+    /// delta: a clone is one allocation and lookups binary-search.
+    slots: Vec<(i64, Tracked)>,
     /// Sorted, deduplicated difference bounds between frame slots.
     pub(crate) rels: Vec<RelFact>,
 }
@@ -221,7 +231,7 @@ impl AbsState {
     /// State at the program entry point: the runtime zeroes registers
     /// and sets `rsp = stack_hi`; we only rely on the latter.
     fn entry() -> AbsState {
-        let mut s = AbsState { regs: Default::default(), slots: BTreeMap::new(), rels: Vec::new() };
+        let mut s = AbsState { regs: Default::default(), slots: Vec::new(), rels: Vec::new() };
         s.regs[RSP] = Tracked { val: AVal::Stack(Interval::exact(0)), origin: None };
         s
     }
@@ -230,7 +240,7 @@ impl AbsState {
     /// stack slot (`pop rbp` and `rsp` pivots included — the shadow
     /// stack pins the return *target*, not the returning frame layout).
     fn havoc() -> AbsState {
-        AbsState { regs: Default::default(), slots: BTreeMap::new(), rels: Vec::new() }
+        AbsState { regs: Default::default(), slots: Vec::new(), rels: Vec::new() }
     }
 
     /// Seed for the stack-balance pre-analysis of one function: `rsp`
@@ -263,6 +273,11 @@ impl AbsState {
         self.rels.retain(|f| f.sub_slot != d && f.bound_slot != d);
     }
 
+    /// The content of frame slot `d`, when tracked.
+    fn slot(&self, d: i64) -> Option<&Tracked> {
+        self.slots.binary_search_by_key(&d, |&(k, _)| k).ok().map(|i| &self.slots[i].1)
+    }
+
     pub(crate) fn reg(&self, r: Reg) -> Tracked {
         self.regs[r.index() as usize]
     }
@@ -279,11 +294,25 @@ impl AbsState {
                 t.origin = None;
             }
         }
-        for t in self.slots.values_mut() {
+        for (_, t) in &mut self.slots {
             if t.origin == Some(d) {
                 t.origin = None;
             }
         }
+    }
+
+    /// Forgets every slot overlapping the byte deltas `[lo, end)`, with
+    /// the origins and facts that name it; returns where the first
+    /// forgotten slot stood (the sorted insertion point for `lo`).
+    fn invalidate(&mut self, flags: &mut LocalFlags, lo: i128, end: i128) -> usize {
+        let at = self.slots.partition_point(|&(k, _)| i128::from(k) + 8 <= lo);
+        let to = self.slots.partition_point(|&(k, _)| i128::from(k) < end);
+        for (k, _) in self.slots.drain(at..to).collect::<Vec<_>>() {
+            self.clear_origin(k);
+            self.scrub_rels(k);
+            flags.scrub_slot(k);
+        }
+        at
     }
 
     /// Models a store of `size` bytes through `addr`.
@@ -300,18 +329,11 @@ impl AbsState {
         if size == 8 {
             if let AVal::Stack(iv) = addr {
                 if let Some(d) = iv.as_exact() {
-                    let removed: Vec<i64> =
-                        self.slots.range(d - 7..=d + 7).map(|(&k, _)| k).collect();
-                    for k in removed {
-                        self.slots.remove(&k);
-                        self.clear_origin(k);
-                        self.scrub_rels(k);
-                        flags.scrub_slot(k);
-                    }
+                    let at = self.invalidate(flags, i128::from(d), i128::from(d) + 8);
                     self.scrub_rels(d);
                     let origin = origin.filter(|&o| o != d);
                     if self.slots.len() < MAX_SLOTS {
-                        self.slots.insert(d, Tracked { val: value, origin });
+                        self.slots.insert(at, (d, Tracked { val: value, origin }));
                     }
                     return;
                 }
@@ -332,46 +354,23 @@ impl AbsState {
                 return;
             }
         }
-        // Weak update: invalidate every slot the store may touch.
-        let delta_range: Option<(i128, i128)> = match addr {
-            AVal::Top | AVal::NonStack | AVal::EntryRbp | AVal::Val(_) => None,
-            AVal::Stack(iv) => Some((iv.lo as i128, iv.hi as i128)),
-        };
-        match delta_range {
-            None => {
-                let removed: Vec<i64> = self.slots.keys().copied().collect();
-                self.slots.clear();
+        // Weak update: invalidate every slot the store may touch (all of
+        // them, and every fact, when the address is not stack-relative).
+        let (lo, end) = match addr {
+            AVal::Stack(iv) => (i128::from(iv.lo), i128::from(iv.hi) + i128::from(size)),
+            _ => {
                 self.rels.clear();
-                for k in removed {
-                    self.clear_origin(k);
-                    flags.scrub_slot(k);
-                }
+                (i128::MIN, i128::MAX)
             }
-            Some((dlo, dhi)) => {
-                let removed: Vec<i64> = self
-                    .slots
-                    .iter()
-                    .filter(|&(&k, _)| {
-                        let k = k as i128;
-                        k + 8 > dlo && k < dhi + size as i128
-                    })
-                    .map(|(&k, _)| k)
-                    .collect();
-                for k in removed {
-                    self.slots.remove(&k);
-                    self.clear_origin(k);
-                    self.scrub_rels(k);
-                    flags.scrub_slot(k);
-                }
-            }
-        }
+        };
+        self.invalidate(flags, lo, end);
     }
 
     /// Models an 8-byte load through `addr`.
     fn read_mem(&self, addr: AVal) -> Tracked {
         if let AVal::Stack(iv) = addr {
             if let Some(d) = iv.as_exact() {
-                return match self.slots.get(&d) {
+                return match self.slot(d) {
                     Some(t) => Tracked { val: t.val, origin: t.origin.or(Some(d)) },
                     None => Tracked { val: AVal::Top, origin: Some(d) },
                 };
@@ -389,7 +388,7 @@ impl AbsState {
         let Some(s) = t.origin else { return t.val };
         let mut val = t.val;
         for f in self.rels.iter().filter(|f| f.sub_slot == s) {
-            let Some(AVal::Val(biv)) = self.slots.get(&f.bound_slot).map(|b| b.val) else {
+            let Some(AVal::Val(biv)) = self.slot(f.bound_slot).map(|b| b.val) else {
                 continue;
             };
             if biv.hi == i64::MAX {
@@ -426,22 +425,15 @@ impl AbsState {
 
     /// Join (or widened join) with an incoming state.
     fn merge(&self, incoming: &AbsState, widen: bool) -> AbsState {
-        let mut regs: [Tracked; 16] = Default::default();
-        for (i, slot) in regs.iter_mut().enumerate() {
-            let a = self.regs[i];
-            let b = incoming.regs[i];
-            let joined = a.val.join(b.val);
-            let val = if widen { a.val.widen(joined) } else { joined };
-            let origin = if a.origin == b.origin { a.origin } else { None };
-            *slot = Tracked { val, origin };
-        }
-        let mut slots = BTreeMap::new();
-        for (k, a) in &self.slots {
-            if let Some(b) = incoming.slots.get(k) {
-                let joined = a.val.join(b.val);
-                let val = if widen { a.val.widen(joined) } else { joined };
-                let origin = if a.origin == b.origin { a.origin } else { None };
-                slots.insert(*k, Tracked { val, origin });
+        let regs = std::array::from_fn(|i| self.regs[i].merge(incoming.regs[i], widen));
+        // Only slots tracked on both paths survive: one ordered walk over
+        // both sorted vectors, so the result is sorted too.
+        let mut slots = Vec::with_capacity(self.slots.len().min(incoming.slots.len()));
+        let mut theirs = incoming.slots.iter().peekable();
+        for &(k, a) in &self.slots {
+            while theirs.next_if(|&&(j, _)| j < k).is_some() {}
+            if let Some(&(_, b)) = theirs.next_if(|&&(j, _)| j == k) {
+                slots.push((k, a.merge(b, widen)));
             }
         }
         // Facts are conjuncts: only those that hold on both paths
@@ -466,7 +458,7 @@ impl AbsState {
         }
         let mut slots = self.slots.clone();
         for (k, t) in &mut slots {
-            if let Some(r) = recomputed.slots.get(k) {
+            if let Some(r) = recomputed.slot(*k) {
                 t.val = t.val.narrow(r.val);
             }
         }
@@ -660,15 +652,6 @@ impl Analysis {
         &self.cfg
     }
 
-    /// The abstract value of `reg` just before the instruction at
-    /// `offset` executes; `None` when `offset` is unreachable or not an
-    /// instruction start.
-    #[must_use]
-    pub fn value_before(&self, offset: usize, reg: Reg) -> Option<AVal> {
-        let (state, _) = self.state_before(offset)?;
-        Some(state.reg(reg).val)
-    }
-
     /// The inclusive range of concrete addresses the store at `offset`
     /// can write to, when the analysis can bound it.
     #[must_use]
@@ -806,7 +789,7 @@ fn apply_edge(
 /// frame contents (the original analysis already havocs them on
 /// return, so this loses nothing the queries could observe).
 fn project(s: &AbsState) -> AbsState {
-    let mut p = AbsState { regs: Default::default(), slots: BTreeMap::new(), rels: Vec::new() };
+    let mut p = AbsState { regs: Default::default(), slots: Vec::new(), rels: Vec::new() };
     p.regs[RSP] = Tracked { val: s.regs[RSP].val, origin: None };
     p.regs[RBP] = Tracked { val: s.regs[RBP].val, origin: None };
     p
@@ -824,7 +807,9 @@ fn project(s: &AbsState) -> AbsState {
 ///
 /// Verdicts grow over stratified rounds: round `k` may assume round
 /// `k-1`'s verdicts at internal `CallFall` edges, so a (mutually)
-/// recursive function can never certify itself.
+/// recursive function can never certify itself. A group's verdict reads
+/// nothing but the `balanced` set, which only grows, so a group that
+/// failed is re-run only once the set has grown since that failure.
 fn balanced_entries(
     cfg: &Cfg,
     idom: &[Option<usize>],
@@ -836,11 +821,13 @@ fn balanced_entries(
 ) -> BTreeSet<usize> {
     let n = cfg.blocks.len();
     let mut balanced = BTreeSet::new();
+    // Per group: the size of `balanced` when the group last failed.
+    let mut failed_at: Vec<Option<usize>> = vec![None; members.len()];
     loop {
         let mut grew = false;
         'groups: for (g, mem) in members.iter().enumerate() {
             let Some(&entry_off) = entries.get(g) else { continue };
-            if balanced.contains(&entry_off) {
+            if balanced.contains(&entry_off) || failed_at[g] == Some(balanced.len()) {
                 continue;
             }
             let Some(&eb) = mem.iter().find(|&&b| cfg.blocks[b].start == entry_off) else {
@@ -870,6 +857,7 @@ fn balanced_entries(
                 if out.reg(Reg::RSP).val != AVal::Stack(Interval::exact(0))
                     || out.reg(Reg::RBP).val != AVal::EntryRbp
                 {
+                    failed_at[g] = Some(balanced.len());
                     continue 'groups;
                 }
             }
@@ -909,8 +897,8 @@ pub(crate) fn projected_fixpoint(
         iters += 1;
         let Some(state) = in_states[b].clone() else { continue };
         let (out, flags) = exec_block(cfg, b, state, config);
-        for edge in cfg.blocks[b].edges.clone() {
-            let Some(next) = apply_edge(cfg, b, &out, &flags, &edge, config, balanced) else {
+        for edge in &cfg.blocks[b].edges {
+            let Some(next) = apply_edge(cfg, b, &out, &flags, edge, config, balanced) else {
                 continue;
             };
             let next = project(&next);
@@ -995,11 +983,11 @@ pub(crate) fn group_fixpoint(ctx: &GroupCtx<'_>, members: &[usize]) -> Vec<(usiz
         let b = members[lb];
         let Some(state) = in_states[lb].clone() else { continue };
         let (out, flags) = exec_block(ctx.cfg, b, state, ctx.config);
-        for edge in ctx.cfg.blocks[b].edges.clone() {
+        for edge in &ctx.cfg.blocks[b].edges {
             if is_cut_edge(edge.kind, ctx.group_of[b], ctx.group_of[edge.to]) {
                 continue;
             }
-            let Some(next) = apply_edge(ctx.cfg, b, &out, &flags, &edge, ctx.config, ctx.balanced)
+            let Some(next) = apply_edge(ctx.cfg, b, &out, &flags, edge, ctx.config, ctx.balanced)
             else {
                 continue;
             };
@@ -1030,9 +1018,12 @@ pub(crate) fn group_fixpoint(ctx: &GroupCtx<'_>, members: &[usize]) -> Vec<(usiz
     // states, so the result is schedule-independent — and replace only
     // the endpoints widening blew out (see [`AVal::narrow`]). This
     // pulls loop-head counters back from `[0, MAX]` to the guarded
-    // range without re-running the ascending iteration.
+    // range without re-running the ascending iteration. A round reads
+    // nothing but `in_states`, so after a round that narrowed nothing
+    // every further round would repeat it exactly: stop there.
     let mut narrows = 0u64;
     for _ in 0..NARROW_ROUNDS {
+        let before = narrows;
         let mut recomputed: Vec<Option<AbsState>> = members
             .iter()
             .map(|&b| if ctx.seeded[b] { ctx.prepass[b].clone() } else { None })
@@ -1040,12 +1031,12 @@ pub(crate) fn group_fixpoint(ctx: &GroupCtx<'_>, members: &[usize]) -> Vec<(usiz
         for (la, &a) in members.iter().enumerate() {
             let Some(state) = in_states[la].clone() else { continue };
             let (out, flags) = exec_block(ctx.cfg, a, state, ctx.config);
-            for edge in ctx.cfg.blocks[a].edges.clone() {
+            for edge in &ctx.cfg.blocks[a].edges {
                 if is_cut_edge(edge.kind, ctx.group_of[a], ctx.group_of[edge.to]) {
                     continue;
                 }
                 let Some(next) =
-                    apply_edge(ctx.cfg, a, &out, &flags, &edge, ctx.config, ctx.balanced)
+                    apply_edge(ctx.cfg, a, &out, &flags, edge, ctx.config, ctx.balanced)
                 else {
                     continue;
                 };
@@ -1064,6 +1055,9 @@ pub(crate) fn group_fixpoint(ctx: &GroupCtx<'_>, members: &[usize]) -> Vec<(usiz
                     in_states[lt] = Some(narrowed);
                 }
             }
+        }
+        if narrows == before {
+            break;
         }
     }
     METRICS.analysis_fixpoint_iters.observe(iters);
@@ -1153,7 +1147,7 @@ fn refine_with_snap(mut state: AbsState, snap: &CmpSnap, cond: CondCode) -> Opti
 fn apply_constraint(state: &mut AbsState, subject: Subject, cond: CondCode, bound: AVal) -> bool {
     let cur = match subject {
         Subject::Reg(r) => state.regs[r as usize].val,
-        Subject::Slot(d) => state.slots.get(&d).map_or(AVal::Top, |t| t.val),
+        Subject::Slot(d) => state.slot(d).map_or(AVal::Top, |t| t.val),
     };
     let refined = match refine_aval(cur, cond, bound) {
         Refined::Infeasible => return false,
@@ -1162,10 +1156,10 @@ fn apply_constraint(state: &mut AbsState, subject: Subject, cond: CondCode, boun
     };
     match subject {
         Subject::Reg(r) => state.regs[r as usize].val = refined,
-        Subject::Slot(d) => {
-            let entry = state.slots.entry(d).or_default();
-            entry.val = refined;
-        }
+        Subject::Slot(d) => match state.slots.binary_search_by_key(&d, |&(k, _)| k) {
+            Ok(i) => state.slots[i].1.val = refined,
+            Err(i) => state.slots.insert(i, (d, Tracked { val: refined, origin: None })),
+        },
     }
     true
 }
@@ -1609,6 +1603,16 @@ fn snap_of(state: &AbsState, lhs: Reg, rhs: Option<Reg>, imm: Option<i64>) -> Cm
 mod tests {
     use super::*;
     use deflection_isa::{disassemble, encode, encoded_len, CondCode, MemOperand};
+
+    impl Analysis {
+        /// The abstract value of `reg` just before the instruction at
+        /// `offset` executes; `None` when `offset` is unreachable or not
+        /// an instruction start.
+        fn value_before(&self, offset: usize, reg: Reg) -> Option<AVal> {
+            let (state, _) = self.state_before(offset)?;
+            Some(state.reg(reg).val)
+        }
+    }
 
     /// Test-local pseudo-instructions: direct calls by function index
     /// and conditional branches by instruction index within a function.

@@ -38,8 +38,9 @@ use deflection_telemetry::{Span, METRICS};
 use std::collections::{BTreeSet, HashMap};
 
 /// Cap on remembered (callee-bits, verdict) pairs per function in the
-/// stack-balance memo. The stratified driver evaluates a function once
-/// per round until it certifies, so a handful of distinct bit patterns
+/// stack-balance memo. The stratified driver re-evaluates a function only
+/// after the `balanced` set grew, until it certifies, so a handful of
+/// distinct bit patterns
 /// covers every converging run; the cap only bounds memory on
 /// pathological churn.
 const MAX_BALANCE_VERDICTS: usize = 8;
@@ -267,16 +268,19 @@ pub fn run_incremental(
     let mut report = IncrementalReport { reused: vec![false; n_groups], ..Default::default() };
 
     // Stack-balance stratification: the driver (rounds, iteration order,
-    // give-up conditions) replays verbatim; only the per-group fixpoint +
-    // ret-check evaluation is answered from the memo. Each evaluation is
-    // a pure function of (shape, callee bits at evaluation time), so the
-    // grown `balanced` set is identical to the from-scratch run's.
+    // give-up conditions, and the skip of a group that failed while
+    // `balanced` has not grown since) replays verbatim; only the
+    // per-group fixpoint + ret-check evaluation is answered from the
+    // memo. Each evaluation is a pure function of (shape, callee bits at
+    // evaluation time), so the grown `balanced` set is identical to the
+    // from-scratch run's, and the memo sees exactly its evaluations.
     let mut balanced: BTreeSet<usize> = BTreeSet::new();
+    let mut failed_at: Vec<Option<usize>> = vec![None; n_groups];
     loop {
         let mut grew = false;
         for (g, mem) in members.iter().enumerate() {
             let Some(&entry_off) = entries.get(g) else { continue };
-            if balanced.contains(&entry_off) {
+            if balanced.contains(&entry_off) || failed_at[g] == Some(balanced.len()) {
                 continue;
             }
             let Some(&eb) = mem.iter().find(|&&b| cfg.blocks[b].start == entry_off) else {
@@ -312,6 +316,8 @@ pub fn run_incremental(
             if verdict {
                 balanced.insert(entry_off);
                 grew = true;
+            } else {
+                failed_at[g] = Some(balanced.len());
             }
         }
         if !grew {
