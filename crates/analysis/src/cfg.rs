@@ -189,25 +189,6 @@ impl Cfg {
         Cfg { blocks, entry, starts }
     }
 
-    /// Builds a graph directly from hand-assembled blocks (test support;
-    /// block `start`/`end`/`insts` need only be consistent with the
-    /// edges the caller wires).
-    ///
-    /// # Panics
-    ///
-    /// Panics if two blocks share a start offset or `entry` is out of
-    /// range.
-    #[must_use]
-    pub fn from_blocks(blocks: Vec<Block>, entry: usize) -> Cfg {
-        assert!(entry < blocks.len(), "entry block out of range");
-        let mut starts = BTreeMap::new();
-        for (i, b) in blocks.iter().enumerate() {
-            let clash = starts.insert(b.start, i);
-            assert!(clash.is_none(), "duplicate block start {:#x}", b.start);
-        }
-        Cfg { blocks, entry, starts }
-    }
-
     /// Index of the block whose byte range contains `offset`.
     #[must_use]
     pub fn block_containing(&self, offset: usize) -> Option<usize> {
@@ -328,6 +309,21 @@ fn rel_target(next: usize, rel: i32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cfg {
+        /// Builds a graph directly from hand-assembled blocks (block
+        /// `start`/`end`/`insts` need only be consistent with the edges
+        /// the caller wires).
+        fn from_blocks(blocks: Vec<Block>, entry: usize) -> Cfg {
+            assert!(entry < blocks.len(), "entry block out of range");
+            let mut starts = BTreeMap::new();
+            for (i, b) in blocks.iter().enumerate() {
+                let clash = starts.insert(b.start, i);
+                assert!(clash.is_none(), "duplicate block start {:#x}", b.start);
+            }
+            Cfg { blocks, entry, starts }
+        }
+    }
 
     /// A diamond with a loop on one arm:
     ///

@@ -7,45 +7,8 @@
 //! numbers for Ryoan, SCONE, Graphene-SGX and Occlum.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use deflection_bench::tcb::{code_lines, total_lines, TCB_SOURCES};
 use std::time::Duration;
-
-/// In-enclave TCB sources, embedded so the count reflects this build.
-const TCB_SOURCES: &[(&str, &str)] = &[
-    ("consumer/loader", include_str!("../../core/src/consumer/loader.rs")),
-    ("consumer/verifier", include_str!("../../core/src/consumer/verifier.rs")),
-    ("consumer/rewriter", include_str!("../../core/src/consumer/rewriter.rs")),
-    ("consumer/mod", include_str!("../../core/src/consumer/mod.rs")),
-    ("annotations (matchers)", include_str!("../../core/src/annotations.rs")),
-    ("runtime (P0 wrappers)", include_str!("../../core/src/runtime.rs")),
-    // The sealed install cache runs in-enclave: it derives the sealing
-    // key, verifies the MAC and rebuilds the image before anything runs.
-    ("sealed install cache", include_str!("../../core/src/sealed.rs")),
-    // The audit ring also lives in-enclave: it records policy-relevant
-    // events and serializes the fixed-size export the runtime seals.
-    ("audit log (ring)", include_str!("../../core/src/audit.rs")),
-    ("policy/manifest", include_str!("../../core/src/policy.rs")),
-    ("disassembler engine", include_str!("../../isa/src/disasm.rs")),
-    ("instruction decoder", include_str!("../../isa/src/decode.rs")),
-    ("object parser", include_str!("../../obj/src/format.rs")),
-    // Elision support (`elide_guards`): the verifier re-derives every
-    // guard-elision proof with its own in-enclave abstract interpreter, so
-    // the whole analysis crate joins the TCB.
-    ("analysis (absint)", include_str!("../../analysis/src/absint.rs")),
-    ("analysis (cfg/dom)", include_str!("../../analysis/src/cfg.rs")),
-    ("analysis (interval)", include_str!("../../analysis/src/interval.rs")),
-    ("analysis (api)", include_str!("../../analysis/src/lib.rs")),
-];
-
-/// Counts non-blank, non-comment lines that are actually compiled into the
-/// enclave: each file keeps its `#[cfg(test)]` module last, so everything
-/// from that marker on is test harness and never part of the TCB.
-fn code_lines(src: &str) -> usize {
-    src.lines()
-        .map(str::trim)
-        .take_while(|l| *l != "#[cfg(test)]")
-        .filter(|l| !l.is_empty() && !l.starts_with("//") && !l.starts_with("//!"))
-        .count()
-}
 
 fn print_table() {
     println!("\n=== Table I: TCB comparison (paper Section VI-A) ===\n");
@@ -95,9 +58,7 @@ fn print_table() {
 
 fn bench(c: &mut Criterion) {
     print_table();
-    c.bench_function("tcb/line_count", |b| {
-        b.iter(|| TCB_SOURCES.iter().map(|(_, s)| code_lines(s)).sum::<usize>())
-    });
+    c.bench_function("tcb/line_count", |b| b.iter(total_lines));
 }
 
 criterion_group! {

@@ -23,6 +23,7 @@
 pub mod queueing;
 pub mod runtime_models;
 pub mod serving;
+pub mod tcb;
 
 use deflection_core::policy::{Manifest, PolicySet};
 use deflection_core::producer::{produce, produce_for_layout};

@@ -20,8 +20,7 @@ use std::fmt;
 pub use loader::{load, resolve, LoadError, LoadedProgram, ResolvedImage};
 pub use rewriter::{rewrite, Bindings};
 pub use verifier::{
-    discover, verify, verify_threaded, verify_with_layout, verify_with_layout_threaded, Verified,
-    VerifyError,
+    discover, verify, verify_with_layout, verify_with_layout_threaded, Verified, VerifyError,
 };
 
 use crate::annotations::SSA_MARKER_VALUE;

@@ -10,8 +10,8 @@
 //!
 //! # Threading model
 //!
-//! [`verify_threaded`] shards the expensive per-function work — the
-//! structural checks here and the abstract interpretation in
+//! [`verify_with_layout_threaded`] shards the expensive per-function
+//! work — the structural checks here and the abstract interpretation in
 //! [`deflection_analysis`] — across worker threads at function-entry
 //! granularity. Frontier discovery and greedy template discovery stay
 //! serial (cheap, order-sensitive); each worker then scans one function
@@ -188,27 +188,6 @@ pub fn verify(
     verify_impl(code, entry, indirect_targets, policy, None, 1)
 }
 
-/// Verifies like [`verify`] with the per-function work sharded across up
-/// to `threads` worker threads.
-///
-/// The verdict — acceptance or the exact [`VerifyError`] — is identical
-/// to the single-threaded [`verify`] for every thread count; see the
-/// module docs on the threading model. `threads <= 1` runs the plain
-/// serial pipeline with no thread machinery at all.
-///
-/// # Errors
-///
-/// Same contract as [`verify`].
-pub fn verify_threaded(
-    code: &[u8],
-    entry: usize,
-    indirect_targets: &[usize],
-    policy: &PolicySet,
-    threads: usize,
-) -> Result<Verified, VerifyError> {
-    verify_impl(code, entry, indirect_targets, policy, None, threads)
-}
-
 /// Verifies like [`verify`], additionally accepting guard-elided binaries
 /// when `policy.elide_guards` is set.
 ///
@@ -236,8 +215,12 @@ pub fn verify_with_layout(
 }
 
 /// Verifies like [`verify_with_layout`] with the per-function work
-/// sharded across up to `threads` worker threads; the verdict is
-/// identical to the single-threaded run for every thread count.
+/// sharded across up to `threads` worker threads.
+///
+/// The verdict — acceptance or the exact [`VerifyError`] — is identical
+/// to the single-threaded run for every thread count; see the module docs
+/// on the threading model. `threads <= 1` runs the plain serial pipeline
+/// with no thread machinery at all.
 ///
 /// # Errors
 ///

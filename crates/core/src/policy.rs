@@ -9,7 +9,6 @@
 //! constructors.
 
 use deflection_isa::OcallCode;
-use std::fmt;
 
 /// Runtime abort codes carried by `abort` instructions, one per policy.
 pub mod abort_codes {
@@ -184,9 +183,10 @@ impl Manifest {
         self.allowed_ocalls.contains(&code)
     }
 
-    /// Serializes the manifest as JSON — the wire form exchanged between
-    /// the service provider and the bootstrap enclave (EDL analogue).
-    /// Hand-rolled: the enclave TCB takes no serialization dependency.
+    /// Serializes the manifest as canonical JSON — the encoding
+    /// [`crate::runtime::manifest_digest`] hashes to bind sealed install
+    /// images and incremental installs to one manifest. Hand-rolled: the
+    /// enclave TCB takes no serialization dependency.
     #[must_use]
     pub fn to_json(&self) -> String {
         let ocalls: Vec<String> = self.allowed_ocalls.iter().map(u8::to_string).collect();
@@ -224,263 +224,6 @@ impl Manifest {
             p.elide_guards,
         )
     }
-
-    /// Parses a manifest from the JSON form [`Manifest::to_json`] emits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManifestParseError`] on malformed JSON, a missing field, or
-    /// an out-of-range number.
-    pub fn from_json(input: &str) -> Result<Self, ManifestParseError> {
-        let v = json::parse(input)?;
-        let top = v.as_object()?;
-        let policy_val = json::field(top, "policy")?;
-        let pol = policy_val.as_object()?;
-        let policy = PolicySet {
-            store_bounds: json::field(pol, "store_bounds")?.as_bool()?,
-            rsp_integrity: json::field(pol, "rsp_integrity")?.as_bool()?,
-            cfi: json::field(pol, "cfi")?.as_bool()?,
-            aex: json::field(pol, "aex")?.as_bool()?,
-            q: json::field(pol, "q")?.as_u32()?,
-            // Absent in manifests written before the elision switch existed.
-            elide_guards: match json::field(pol, "elide_guards") {
-                Ok(v) => v.as_bool()?,
-                Err(_) => false,
-            },
-        };
-        let ocalls = json::field(top, "allowed_ocalls")?
-            .as_array()?
-            .iter()
-            .map(|v| v.as_u64().and_then(json::to_u8))
-            .collect::<Result<Vec<u8>, _>>()?;
-        let blur = match json::field(top, "time_blur_quantum")? {
-            json::Value::Null => None,
-            other => Some(other.as_u64()?),
-        };
-        // Absent in manifests written before the lifetime ledger existed.
-        let lifetime = match json::field(top, "lifetime_output_budget") {
-            Ok(json::Value::Null) | Err(_) => None,
-            Ok(other) => Some(other.as_u64()?),
-        };
-        Ok(Manifest {
-            allowed_ocalls: ocalls,
-            output_record_len: json::field(top, "output_record_len")?.as_usize()?,
-            output_budget: json::field(top, "output_budget")?.as_usize()?,
-            lifetime_output_budget: lifetime,
-            input_capacity: json::field(top, "input_capacity")?.as_usize()?,
-            output_capacity: json::field(top, "output_capacity")?.as_usize()?,
-            aex_threshold: json::field(top, "aex_threshold")?.as_u64()?,
-            time_blur_quantum: blur,
-            policy,
-        })
-    }
-}
-
-/// Error from [`Manifest::from_json`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestParseError(String);
-
-impl fmt::Display for ManifestParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "manifest parse error: {}", self.0)
-    }
-}
-
-impl std::error::Error for ManifestParseError {}
-
-/// A minimal JSON reader covering exactly the manifest grammar: objects,
-/// arrays, unsigned integers, booleans and `null` (strings appear only as
-/// object keys).
-mod json {
-    use super::ManifestParseError;
-
-    pub(super) enum Value {
-        Null,
-        Bool(bool),
-        Num(u64),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    fn err(msg: impl Into<String>) -> ManifestParseError {
-        ManifestParseError(msg.into())
-    }
-
-    impl Value {
-        pub(super) fn as_bool(&self) -> Result<bool, ManifestParseError> {
-            match self {
-                Value::Bool(b) => Ok(*b),
-                _ => Err(err("expected bool")),
-            }
-        }
-        pub(super) fn as_u64(&self) -> Result<u64, ManifestParseError> {
-            match self {
-                Value::Num(n) => Ok(*n),
-                _ => Err(err("expected number")),
-            }
-        }
-        pub(super) fn as_u32(&self) -> Result<u32, ManifestParseError> {
-            u32::try_from(self.as_u64()?).map_err(|_| err("number exceeds u32"))
-        }
-        pub(super) fn as_usize(&self) -> Result<usize, ManifestParseError> {
-            usize::try_from(self.as_u64()?).map_err(|_| err("number exceeds usize"))
-        }
-        pub(super) fn as_array(&self) -> Result<&[Value], ManifestParseError> {
-            match self {
-                Value::Arr(v) => Ok(v),
-                _ => Err(err("expected array")),
-            }
-        }
-        pub(super) fn as_object(&self) -> Result<&[(String, Value)], ManifestParseError> {
-            match self {
-                Value::Obj(v) => Ok(v),
-                _ => Err(err("expected object")),
-            }
-        }
-    }
-
-    pub(super) fn to_u8(n: u64) -> Result<u8, ManifestParseError> {
-        u8::try_from(n).map_err(|_| err("number exceeds u8"))
-    }
-
-    pub(super) fn field<'a>(
-        obj: &'a [(String, Value)],
-        name: &str,
-    ) -> Result<&'a Value, ManifestParseError> {
-        obj.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| err(format!("missing field `{name}`")))
-    }
-
-    pub(super) fn parse(input: &str) -> Result<Value, ManifestParseError> {
-        let bytes = input.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(err("trailing bytes after JSON value"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ManifestParseError> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(err(format!("expected `{}` at byte {}", c as char, pos)))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ManifestParseError> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos),
-            Some(b'[') => parse_array(b, pos),
-            Some(b't') => parse_lit(b, pos, b"true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, b"false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, b"null", Value::Null),
-            Some(c) if c.is_ascii_digit() => parse_number(b, pos),
-            _ => Err(err(format!("unexpected byte at {pos}"))),
-        }
-    }
-
-    fn parse_lit(
-        b: &[u8],
-        pos: &mut usize,
-        lit: &[u8],
-        v: Value,
-    ) -> Result<Value, ManifestParseError> {
-        if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(err("bad literal"))
-        }
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, ManifestParseError> {
-        let start = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
-            .ok_or_else(|| err("bad number"))
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ManifestParseError> {
-        expect(b, pos, b'"')?;
-        let start = *pos;
-        while *pos < b.len() && b[*pos] != b'"' {
-            if b[*pos] == b'\\' {
-                return Err(err("escapes not supported in manifest keys"));
-            }
-            *pos += 1;
-        }
-        if *pos >= b.len() {
-            return Err(err("unterminated string"));
-        }
-        let s = std::str::from_utf8(&b[start..*pos]).map_err(|_| err("non-UTF-8 key"))?;
-        *pos += 1;
-        Ok(s.to_string())
-    }
-
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, ManifestParseError> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, ManifestParseError> {
-        expect(b, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            let key = parse_string(b, pos)?;
-            expect(b, pos, b':')?;
-            fields.push((key, parse_value(b, pos)?));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(err("expected `,` or `}`")),
-            }
-        }
-    }
 }
 
 impl Default for Manifest {
@@ -507,38 +250,6 @@ mod tests {
         let m = Manifest::ccaas();
         assert!(m.allows(OcallCode::Send as u8));
         assert!(!m.allows(99));
-    }
-
-    #[test]
-    fn manifest_json_roundtrip() {
-        let mut m = Manifest::ccaas();
-        let back = Manifest::from_json(&m.to_json()).unwrap();
-        assert_eq!(back, m);
-        m.time_blur_quantum = Some(4096);
-        m.policy = PolicySet::p1_p2().with_elision();
-        let back = Manifest::from_json(&m.to_json()).unwrap();
-        assert_eq!(back, m);
-        m.lifetime_output_budget = Some(1 << 24);
-        let back = Manifest::from_json(&m.to_json()).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn manifest_without_lifetime_budget_field_still_parses() {
-        // Wire compatibility: manifests serialized before the lifetime
-        // ledger existed omit the field; parsing defaults it to None.
-        let json = Manifest::ccaas().to_json().replace("\"lifetime_output_budget\":null,", "");
-        let back = Manifest::from_json(&json).unwrap();
-        assert_eq!(back, Manifest::ccaas());
-    }
-
-    #[test]
-    fn manifest_json_rejects_garbage() {
-        assert!(Manifest::from_json("").is_err());
-        assert!(Manifest::from_json("{\"allowed_ocalls\":[}").is_err());
-        assert!(Manifest::from_json("{}").is_err());
-        let valid = Manifest::ccaas().to_json();
-        assert!(Manifest::from_json(&valid[..valid.len() - 1]).is_err());
     }
 
     #[test]

@@ -1316,4 +1316,50 @@ mod tests {
         assert!(matches!(report.exit, RunExit::Fault(Fault::OcallFailed { .. })));
         assert_eq!(e.lifetime_sent_bytes(), 200, "the refused send leaked nothing");
     }
+
+    #[test]
+    fn manifest_digest_covers_every_field() {
+        // The digest binds sealed images and incremental installs to one
+        // manifest, so `to_json` must encode every field. No `..` rest
+        // pattern: a field added to `Manifest` or `PolicySet` stops this
+        // test compiling until a variant below changes it.
+        let base = Manifest::ccaas();
+        let Manifest {
+            allowed_ocalls,
+            output_record_len,
+            output_budget,
+            lifetime_output_budget,
+            input_capacity,
+            output_capacity,
+            aex_threshold,
+            time_blur_quantum,
+            policy: PolicySet { store_bounds, rsp_integrity, cfi, aex, q, elide_guards },
+        } = base.clone();
+        let pol = base.policy;
+        let bump = |v: Option<u64>| Some(v.map_or(4096, |v| v + 1));
+        let variants = [
+            Manifest { allowed_ocalls: allowed_ocalls[1..].to_vec(), ..base.clone() },
+            Manifest { output_record_len: output_record_len + 1, ..base.clone() },
+            Manifest { output_budget: output_budget + 1, ..base.clone() },
+            Manifest { lifetime_output_budget: bump(lifetime_output_budget), ..base.clone() },
+            Manifest { lifetime_output_budget: bump(bump(lifetime_output_budget)), ..base.clone() },
+            Manifest { input_capacity: input_capacity + 1, ..base.clone() },
+            Manifest { output_capacity: output_capacity + 1, ..base.clone() },
+            Manifest { aex_threshold: aex_threshold + 1, ..base.clone() },
+            Manifest { time_blur_quantum: bump(time_blur_quantum), ..base.clone() },
+            Manifest { time_blur_quantum: bump(bump(time_blur_quantum)), ..base.clone() },
+            Manifest { policy: PolicySet { store_bounds: !store_bounds, ..pol }, ..base.clone() },
+            Manifest { policy: PolicySet { rsp_integrity: !rsp_integrity, ..pol }, ..base.clone() },
+            Manifest { policy: PolicySet { cfi: !cfi, ..pol }, ..base.clone() },
+            Manifest { policy: PolicySet { aex: !aex, ..pol }, ..base.clone() },
+            Manifest { policy: PolicySet { q: q + 1, ..pol }, ..base.clone() },
+            Manifest { policy: PolicySet { elide_guards: !elide_guards, ..pol }, ..base.clone() },
+        ];
+        let mut digests = vec![manifest_digest(&base)];
+        for v in &variants {
+            let d = manifest_digest(v);
+            assert!(!digests.contains(&d), "digest ignores a field change: {v:?}");
+            digests.push(d);
+        }
+    }
 }

@@ -156,22 +156,10 @@ impl Disassembly {
         }
     }
 
-    /// Whether `offset` is a decoded instruction boundary.
-    #[must_use]
-    pub fn is_instruction_start(&self, offset: usize) -> bool {
-        self.index_of(offset).is_some()
-    }
-
     /// The instruction decoded at `offset`, if control flow reached it.
     #[must_use]
     pub fn inst_at(&self, offset: usize) -> Option<&Inst> {
         self.index_of(offset).map(|i| &self.insts[i].1)
-    }
-
-    /// The offset of the instruction following the one at `offset`.
-    #[must_use]
-    pub fn next_offset(&self, offset: usize) -> Option<usize> {
-        self.index_of(offset).map(|i| offset + self.insts[i].2)
     }
 
     /// Offsets that start a basic block, sorted ascending.
@@ -523,7 +511,7 @@ mod tests {
         let d = disassemble(&code, 0, &[]).unwrap();
         assert_eq!(d.len(), 3);
         for off in offsets {
-            assert!(d.is_instruction_start(off));
+            assert!(d.index_of(off).is_some());
         }
     }
 
@@ -555,8 +543,8 @@ mod tests {
         ];
         let (code, offsets) = encode_program(&prog);
         let d = disassemble(&code, 0, &[]).unwrap();
-        assert!(!d.is_instruction_start(offsets[1]));
-        assert!(d.is_instruction_start(offsets[2]));
+        assert!(d.index_of(offsets[1]).is_none());
+        assert!(d.index_of(offsets[2]).is_some());
     }
 
     #[test]
@@ -698,12 +686,15 @@ mod tests {
             Inst::Ret,
             Inst::Nop, // dead
         ];
-        let (code, _) = encode_program(&prog);
+        let (code, offsets) = encode_program(&prog);
         let d = disassemble(&code, 0, &[]).unwrap();
         for (i, &(off, inst, len)) in d.insts().iter().enumerate() {
             assert_eq!(d.index_of(off), Some(i));
             assert_eq!(d.inst_at(off), Some(&inst));
-            assert_eq!(d.next_offset(off), Some(off + len));
+            // The recorded length ends exactly where the next encoded
+            // instruction starts.
+            let k = offsets.iter().position(|&o| o == off).unwrap();
+            assert_eq!(offsets.get(k + 1).copied().unwrap_or(code.len()), off + len);
         }
         // Interior and unreached bytes are not instruction starts.
         assert_eq!(d.index_of(1), None);
