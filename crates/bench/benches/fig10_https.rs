@@ -97,9 +97,6 @@ fn bench(c: &mut Criterion) {
             b.iter(|| measure(&src, &input, &policy, &config))
         });
     }
-    c.bench_function("fig10/queueing_sim_200c", |b| {
-        b.iter(|| simulate(200, WORKERS, 1000.0, 0.05, 4000, 10))
-    });
 }
 
 criterion_group! {

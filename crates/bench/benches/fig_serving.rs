@@ -1,98 +1,29 @@
-//! **Serving** — the multi-tenant admission frontend under load.
+//! **Serving** — the multi-tenant admission frontend on the real pool.
 //!
 //! The paper's Fig. 10 measures a 200-connection HTTPS server; the
 //! ROADMAP north-star is a production-scale serving system. This bench
-//! drives the real admission frontend (bounded queue, batching,
-//! typed shedding) over a **mixed multi-tenant workload** — https,
-//! credit scoring, genome sequence generation, two nBench kernels and
-//! the stateful KV session service — then replays the measured per-class
-//! service times through the 10⁵-client closed-loop serving simulation
-//! to report p50/p99 latency, saturation throughput and the shed-rate
-//! knee at scales CI cannot drive the real pool at.
+//! times one mixed admission round — https, credit scoring, genome
+//! sequence generation, two nBench kernels and the stateful KV session
+//! service, 32 requests — through the real admission frontend and pool.
+//! Its tail-latency counterpart is `loadgen`, which gates p99 under
+//! shedding on the same rig.
 //!
 //! Trend gating: `fig_serving` is deliberately **not** core-count gated
-//! (see `src/trend.rs`): the `admission_1w` and `sim_closed_100k` series
-//! are single-worker/simulated and enforce even on a 1-core CI host. The
-//! `admission_4w` series only registers on hosts with ≥4 cores, so its
-//! rows are simply absent (and cannot gate) elsewhere.
+//! (see `src/trend.rs`): the single-worker `admission_1w` series enforces
+//! even on a 1-core CI host. The `admission_4w` series only registers on
+//! hosts with ≥4 cores, so its rows are simply absent (and cannot gate)
+//! elsewhere.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use deflection_bench::queueing::{simulate_serving, Arrival, MixEntry, ServingConfig};
-use deflection_bench::serving::{admission_round, measured_mix, rig};
+use deflection_bench::serving::{admission_round, rig};
 use std::time::Duration;
 
-fn sim_config(mix: Vec<MixEntry>, arrival: Arrival, total: usize) -> ServingConfig {
-    ServingConfig {
-        arrival,
-        workers: 4,
-        mix,
-        jitter_frac: 0.05,
-        total_requests: total,
-        // Latency-tier queue: bounded wait ≈ high_water x service /
-        // workers keeps p99 under shedding within the 10x acceptance
-        // envelope (see DESIGN.md §5k).
-        high_water: 64,
-        batch_max: 32,
-        seed: 23,
-    }
-}
-
-fn print_tables() {
-    println!("\n=== Serving: admission frontend latency/throughput & shed knee ===\n");
-    let named = measured_mix();
-    for (name, m) in &named {
-        println!("measured service time {name:<14} {:>8.0} µs", m.service_us);
-    }
-    let mix: Vec<MixEntry> = named.iter().map(|(_, m)| *m).collect();
-    println!(
-        "\n{:<10} {:>10} {:>10} {:>12} {:>10} {:>10}",
-        "clients", "p50 (µs)", "p99 (µs)", "thr (rps)", "shed rate", "mean batch"
-    );
-    println!("{:-<68}", "");
-    for clients in [64usize, 256, 1024, 4096, 16_384, 100_000] {
-        let r = simulate_serving(&sim_config(
-            mix.clone(),
-            Arrival::Closed { clients, think_us: 10_000 },
-            30_000.min(clients * 3),
-        ));
-        println!(
-            "{clients:<10} {:>10} {:>10} {:>12.0} {:>9.1}% {:>10.1}",
-            r.p50_us,
-            r.p99_us,
-            r.throughput_rps,
-            r.shed_rate * 100.0,
-            r.mean_batch
-        );
-    }
-    println!("\nopen-loop shed knee (offered rps -> shed rate):");
-    for rate in [500.0f64, 1_000.0, 2_000.0, 4_000.0, 8_000.0, 16_000.0] {
-        let r =
-            simulate_serving(&sim_config(mix.clone(), Arrival::Open { rate_rps: rate }, 10_000));
-        println!("  {rate:>8.0} rps  shed {:>5.1}%  p99 {:>8} µs", r.shed_rate * 100.0, r.p99_us);
-    }
-    println!();
-}
-
 fn bench(c: &mut Criterion) {
-    print_tables();
     // Single-worker saturation series: NOT core-count gated — this is
     // the enforceable floor on every host, including 1-core CI.
     let mut one = rig(1);
     admission_round(&mut one); // warm the prepared cache (verify once)
     c.bench_function("fig_serving/admission_1w", |b| b.iter(|| admission_round(&mut one)));
-
-    // The 10^5-client closed-loop simulation: every smoke run completes
-    // >=10^5 simulated clients by construction.
-    let mix: Vec<MixEntry> = measured_mix().into_iter().map(|(_, m)| m).collect();
-    c.bench_function("fig_serving/sim_closed_100k", |b| {
-        b.iter(|| {
-            simulate_serving(&sim_config(
-                mix.clone(),
-                Arrival::Closed { clients: 100_000, think_us: 100_000 },
-                100_000,
-            ))
-        })
-    });
 
     // The >=4-core series registers only where it can mean something;
     // absent rows never gate, so 1-core hosts are unaffected.

@@ -1,12 +1,10 @@
 //! Shared rig for the multi-tenant serving experiments: the mixed
 //! workload set (https, credit, genome seqgen, two nBench kernels and
-//! the stateful KV session), a pool + admission-frontend round, and the
-//! real measured service-time mix the [`crate::queueing`] simulator
-//! replays. Used by the `fig_serving` bench and the `loadgen` bin so
-//! both drive exactly the same traffic.
+//! the stateful KV session), a pool, and an admission frontend with every
+//! workload registered as a tenant. Used by the `fig_serving` bench and
+//! the `loadgen` bin so both drive exactly the same traffic through the
+//! real frontend and pool.
 
-use crate::measure;
-use crate::queueing::MixEntry;
 use deflection_core::admission::{AdmissionConfig, AdmissionFrontend, Ticket};
 use deflection_core::policy::{Manifest, PolicySet};
 use deflection_core::pool::EnclavePool;
@@ -108,21 +106,21 @@ pub fn rig(workers: usize) -> Rig {
     Rig { pool, binaries, requests }
 }
 
-/// One admission round: fresh frontend, every workload registered as a
-/// tenant, the rig's mixed batch submitted, dispatcher run, verdicts
-/// awaited. Returns a checksum over the exit values (so callers can
-/// detect silent corruption across rounds).
+/// A fresh admission frontend under `config` with every rig binary
+/// registered as a tenant, in [`workloads`] order. Each tenant may have a
+/// full queue and a full batch in flight, so only the queue's high-water
+/// mark sheds.
 ///
 /// # Panics
 ///
-/// Panics if any request of the trusted fixture batch is shed or fails.
-pub fn admission_round(r: &mut Rig) -> u64 {
+/// Panics if a rig binary is refused registration — bench fixtures are
+/// trusted.
+#[must_use]
+pub fn frontend(r: &Rig, config: AdmissionConfig) -> (AdmissionFrontend, Vec<TenantId>) {
     let m = serving_manifest();
-    let frontend = AdmissionFrontend::new(
-        AdmissionConfig { queue_capacity: 2 * BATCH, high_water: 2 * BATCH, batch_max: BATCH },
-        TenantRegistry::new(&m),
-    );
-    let tenants: Vec<TenantId> = r
+    let max_in_flight = config.queue_capacity + config.batch_max;
+    let frontend = AdmissionFrontend::new(config, TenantRegistry::new(&m));
+    let tenants = r
         .binaries
         .iter()
         .enumerate()
@@ -132,12 +130,28 @@ pub fn admission_round(r: &mut Rig) -> u64 {
                     name: format!("t{i}"),
                     binary: b.clone(),
                     manifest: m.clone(),
-                    max_in_flight: BATCH,
+                    max_in_flight,
                     lifetime_output_budget: None,
                 })
                 .expect("tenant fits pool")
         })
         .collect();
+    (frontend, tenants)
+}
+
+/// One admission round: fresh frontend, every workload registered as a
+/// tenant, the rig's mixed batch submitted, dispatcher run, verdicts
+/// awaited. Returns a checksum over the exit values (so callers can
+/// detect silent corruption across rounds).
+///
+/// # Panics
+///
+/// Panics if any request of the trusted fixture batch is shed or fails.
+pub fn admission_round(r: &mut Rig) -> u64 {
+    let (frontend, tenants) = frontend(
+        r,
+        AdmissionConfig { queue_capacity: 2 * BATCH, high_water: 2 * BATCH, batch_max: BATCH },
+    );
     let tickets: Vec<Ticket> = r
         .requests
         .iter()
@@ -153,27 +167,6 @@ pub fn admission_round(r: &mut Rig) -> u64 {
         acc = acc.wrapping_add(report.exit.exit_value().unwrap_or(0));
     }
     acc
-}
-
-/// Measures each workload's real in-enclave service time (µs, median of
-/// three runs under the full policy) as the simulation mix.
-#[must_use]
-pub fn measured_mix() -> Vec<(String, MixEntry)> {
-    let config = MemConfig::small();
-    let policy = PolicySet::full();
-    workloads()
-        .iter()
-        .map(|w| {
-            let mut times: Vec<f64> = (0..3)
-                .map(|i| {
-                    let input = (w.request)(i);
-                    measure(&w.source, &input, &policy, &config).wall.as_secs_f64() * 1e6
-                })
-                .collect();
-            times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            (w.name.to_string(), MixEntry { service_us: times[times.len() / 2], weight: 1 })
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -122,25 +122,10 @@ impl AuditRing {
     }
 
     /// The sequence number the next recorded event will get (equals the
-    /// total number of events ever recorded, modulo resumes).
+    /// total number of events ever recorded).
     #[must_use]
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Raises the next sequence number to at least `floor` (pool respawn
-    /// carry-forward, mirroring `resume_send_nonce`). Never moves backwards.
-    ///
-    /// When the floor jumps past retained events, those events are cleared
-    /// and read as dropped (the export's `first_seq` gap marker) — keeping
-    /// them would produce an export whose sequence numbers skip from the old
-    /// range to the floor, which [`parse_audit_export`] rejects as
-    /// non-monotonic.
-    pub fn resume_seq(&mut self, floor: u64) {
-        if floor > self.next_seq {
-            self.events.clear();
-            self.next_seq = floor;
-        }
     }
 
     /// Serializes the ring into its fixed [`AUDIT_EXPORT_LEN`]-byte export
@@ -318,43 +303,6 @@ mod tests {
             ring.record(AuditKind::GuardTrip, 2);
         }
         assert_eq!(ring.export_bytes().len(), AUDIT_EXPORT_LEN);
-    }
-
-    #[test]
-    fn resume_seq_never_moves_backwards() {
-        let mut ring = AuditRing::new();
-        ring.record(AuditKind::Install, 0);
-        ring.resume_seq(10);
-        assert_eq!(ring.next_seq(), 10);
-        ring.resume_seq(3);
-        assert_eq!(ring.next_seq(), 10);
-        assert_eq!(ring.record(AuditKind::GuardTrip, 0), 10);
-    }
-
-    #[test]
-    fn resume_seq_on_a_nonempty_ring_still_exports_parseably() {
-        // A floor past retained events clears them (they read as dropped);
-        // keeping them would make the export non-monotonic and unopenable.
-        let mut ring = AuditRing::new();
-        ring.record(AuditKind::Install, 1);
-        ring.record(AuditKind::GuardTrip, 2);
-        ring.resume_seq(10);
-        let export = parse_audit_export(&ring.export_bytes()).unwrap();
-        assert_eq!(export.dropped(), 10, "pre-resume events read as a gap");
-        assert!(export.events.is_empty());
-        assert_eq!(export.next_seq, 10);
-        // Events recorded after the resume export normally.
-        ring.record(AuditKind::AexInjected, 3);
-        let export = parse_audit_export(&ring.export_bytes()).unwrap();
-        assert_eq!(
-            export.events,
-            vec![AuditEvent { seq: 10, kind: AuditKind::AexInjected, arg: 3 }]
-        );
-        // A floor at or below next_seq is a no-op and keeps retained events.
-        let mut ring = AuditRing::new();
-        ring.record(AuditKind::Install, 1);
-        ring.resume_seq(1);
-        assert_eq!(ring.events().len(), 1);
     }
 
     #[test]

@@ -1545,6 +1545,7 @@ mod tests {
 
     #[test]
     fn churn_preserves_nonce_channels_and_audit_seqs() {
+        use crate::audit::open_audit_export;
         use crate::runtime::open_record;
         // High-churn fleet shape: install A, serve, hot-patch to B, serve,
         // lose a worker mid-way. The per-slot nonce channels must stay
@@ -1584,10 +1585,16 @@ mod tests {
         let r = pool.serve_on(1, b"", 1_000_000).unwrap();
         assert_eq!(pool.health().workers[1].respawned, 1);
         assert!(open_record(&owner_key, 1, 2, &r.records[0]).is_ok());
-        assert!(
-            pool.workers[1].enclave.audit_next_seq() >= seqs_after_b[1],
-            "respawn must not regress the audit seq"
-        );
+        // The owner's export of slot 1 reads as one log across the
+        // respawn: every event from 0 on, each sequence number once.
+        let w = &mut pool.workers[1];
+        let counter = w.enclave.send_nonce();
+        let sealed = w.enclave.ecall_export_audit().unwrap();
+        let log = open_audit_export(&owner_key, 1, counter, &sealed).unwrap();
+        assert_eq!(log.dropped(), 0);
+        assert!(log.next_seq > seqs_after_b[1], "the respawn's install is logged");
+        let seqs: Vec<u64> = log.events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..log.next_seq).collect::<Vec<_>>(), "contiguous, no reuse");
         // Both prepared images are retained (cap 64 untouched), and the
         // verification count shows one full + one incremental verify.
         assert_eq!(pool.prepared_cache_len(), 2);

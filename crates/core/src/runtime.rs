@@ -586,12 +586,6 @@ impl BootstrapEnclave {
         self.host.audit.next_seq()
     }
 
-    /// Raises the audit sequence counter to at least `floor` (pool respawn
-    /// carry-forward). Never moves backwards.
-    pub fn resume_audit_seq(&mut self, floor: u64) {
-        self.host.audit.resume_seq(floor);
-    }
-
     /// `ecall_export_audit`: seals the audit ring for the data owner on
     /// this enclave's record-nonce channel. The export is an *output*: its
     /// fixed [`AUDIT_EXPORT_LEN`]-byte plaintext is charged against the

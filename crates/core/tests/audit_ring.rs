@@ -160,25 +160,3 @@ fn budget_refusals_are_recorded_as_audit_events() {
     assert!(matches!(report.exit, RunExit::Fault(_)));
     assert!(enclave.audit_next_seq() >= 3);
 }
-
-#[test]
-fn resumed_sequence_survives_a_respawn() {
-    // What the pool's quarantine/respawn path does: a fresh instance
-    // adopts the dead worker's next sequence number as a floor, so the
-    // owner's view of the slot's log stays monotonic across respawns.
-    let (mut first, binary) = enclave_with(manifest());
-    first.install_plain(&binary).unwrap();
-    let carried = first.audit_next_seq();
-    assert!(carried > 0);
-    let (mut respawned, _) = enclave_with(manifest());
-    respawned.resume_audit_seq(carried);
-    assert_eq!(respawned.audit_next_seq(), carried);
-    // Resuming backwards is a no-op: the floor never rewinds the counter.
-    respawned.resume_audit_seq(0);
-    assert_eq!(respawned.audit_next_seq(), carried);
-    respawned.install_plain(&binary).unwrap();
-    let sealed = respawned.ecall_export_audit().unwrap();
-    let log = open_audit_export(&OWNER_KEY, 0, 0, &sealed).unwrap();
-    assert_eq!(log.events.first().unwrap().seq, carried, "post-respawn events continue the seq");
-    assert_eq!(log.dropped(), carried, "pre-respawn events read as a gap, never as seq reuse");
-}

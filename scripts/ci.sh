@@ -129,12 +129,12 @@ if [ "$SMOKE" = "1" ]; then
     }
     echo "    wrote target/bench-smoke/PROFILE_smoke.log"
 
-    echo "==> closed-loop load harness (loadgen --quick, >=10^5 simulated clients)"
-    cargo run -q --release --bin loadgen -- --quick \
+    echo "==> real-pool tail gate (loadgen: 1 worker, p99 at 2x capacity <= 10x p99 at 1/2x)"
+    cargo run -q --release --bin loadgen -- \
         --metrics-out target/bench-smoke/METRICS_loadgen.json \
         >target/bench-smoke/LOADGEN_smoke.log 2>&1 || {
         cat target/bench-smoke/LOADGEN_smoke.log
-        echo "loadgen smoke failed (bounded-tail acceptance or harness error)" >&2
+        echo "loadgen smoke failed (real-pool bounded-tail gate or harness error)" >&2
         exit 1
     }
     echo "    wrote target/bench-smoke/METRICS_loadgen.json + LOADGEN_smoke.log"

@@ -1,158 +1,185 @@
-//! `loadgen` — closed- and open-loop load generator for the multi-tenant
-//! admission frontend.
+//! `loadgen` — the bounded-tail gate on the real serving path.
 //!
 //! ```text
-//! loadgen [--quick] [--metrics-out METRICS_file.json] [--seed N]
+//! loadgen [--metrics-out METRICS_file.json]
 //! ```
 //!
-//! Two stages:
+//! Drives the six-tenant mixed workload (https, credit, genome seqgen, two
+//! nBench kernels, the stateful KV session) through the real
+//! [`AdmissionFrontend`] → [`EnclavePool`] path on a 1-worker pool, with
+//! the dispatcher on its own thread, in three phases of [`PHASE`] requests:
 //!
-//! 1. **Real serving warm-up** — drives mixed admission rounds (https,
-//!    credit, genome seqgen, two nBench kernels, stateful KV) through the
-//!    real [`AdmissionFrontend`] on a 1-worker pool, measuring each
-//!    class's true in-enclave service time and populating the admission
-//!    telemetry (queue-depth gauge, shed counters, batch-size histogram).
-//! 2. **Scaled closed/open-loop simulation** — replays the measured mix
-//!    through the discrete-event serving simulator at 10⁵ (`--quick`,
-//!    ≈10³ concurrent clients per series plus a 10⁵-client overload
-//!    series) to 10⁶ completions, reporting p50/p99 and saturation
-//!    throughput for half-saturation, overload-with-shedding, and
-//!    open-loop arrival series.
+//! 1. **Capacity** — a closed loop keeps [`HIGH_WATER`] requests
+//!    outstanding, the most the queue admits without shedding; capacity is
+//!    completions per second.
+//! 2. **Half load** — open-loop Poisson arrivals at ½× capacity.
+//! 3. **Overload** — open-loop Poisson arrivals at 2× capacity.
 //!
-//! Exits nonzero if the bounded-tail acceptance property fails: p99
-//! under shedding must stay within 10× of p99 at half saturation —
-//! the queue is bounded, so tail latency must not collapse with offered
-//! load. `--metrics-out` writes the host-stamped telemetry snapshot
-//! (`METRICS_loadgen.json`) a `trend` run can ingest.
+//! Latency runs from each request's scheduled send time to its verdict.
+//! Exits 1 unless the overload phase sheds (`Overloaded` > 0) and its p99
+//! stays within 10× of the half-load p99: the queue is bounded, so an
+//! admitted request's wait cannot grow with offered load. A queue sized
+//! for throughput instead (the `AdmissionConfig` default, high water 896)
+//! sheds nothing at 2× and fails the gate. `--metrics-out` writes the
+//! host-stamped telemetry snapshot (`METRICS_loadgen.json`) a `trend` run
+//! can ingest.
 //!
 //! [`AdmissionFrontend`]: deflection::core::admission::AdmissionFrontend
+//! [`EnclavePool`]: deflection::core::pool::EnclavePool
 
-use deflection::bench::queueing::{simulate_serving, Arrival, MixEntry, ServingConfig};
-use deflection::bench::serving::{admission_round, measured_mix, rig, BATCH};
+use deflection::bench::serving::{admission_round, frontend, rig, FUEL};
+use deflection::core::admission::{AdmissionConfig, AdmissionFrontend, Ticket};
+use deflection::core::tenant::TenantId;
+use deflection::crypto::drbg::HmacDrbg;
 use deflection::telemetry::Collector;
+use std::collections::VecDeque;
 use std::process::ExitCode;
+use std::sync::mpsc;
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// Queue depth at which submissions shed. DESIGN.md §5k sizes the
+/// latency-tier queue so `high_water × service / workers` stays fixed:
+/// 64 for four workers is 16 for one.
+const HIGH_WATER: usize = 16;
+/// Largest dispatched batch: the 4-worker tier's 32, capped at the queue.
+const BATCH_MAX: usize = 16;
+/// Requests per phase, so that a half-load p99 rests on its 20 slowest
+/// requests rather than on a handful.
+const PHASE: usize = 2000;
+/// Seed of the Poisson arrival gaps.
+const SEED: u64 = 23;
+/// Overload p99 may be at most this multiple of half-load p99.
+const TAIL_BOUND: f64 = 10.0;
 
 fn usage() -> ExitCode {
-    eprintln!("usage:\n  loadgen [--quick] [--metrics-out METRICS_file.json] [--seed N]");
+    eprintln!("usage:\n  loadgen [--metrics-out METRICS_file.json]");
     ExitCode::from(2)
 }
 
-fn sim_config(mix: &[MixEntry], arrival: Arrival, total: usize, seed: u64) -> ServingConfig {
-    ServingConfig {
-        arrival,
-        workers: 4,
-        mix: mix.to_vec(),
-        jitter_frac: 0.05,
-        total_requests: total,
-        // Latency-tier queue sizing (see DESIGN.md §5k): queue wait is
-        // bounded by high_water x mean service / workers, which is what
-        // keeps the shedding-regime p99 inside the 10x envelope.
-        high_water: 64,
-        batch_max: 32,
-        seed,
-    }
+/// What one open-loop phase saw.
+struct Phase {
+    served: usize,
+    shed: usize,
+    p50_ms: f64,
+    p99_ms: f64,
 }
 
-#[allow(clippy::too_many_lines)]
+/// Submits the `k`-th request of the rig's repeating mixed batch.
+fn submit(
+    fe: &AdmissionFrontend,
+    tenants: &[TenantId],
+    requests: &[(usize, Vec<u8>)],
+    k: usize,
+) -> Option<Ticket> {
+    let (wl, payload) = &requests[k % requests.len()];
+    fe.submit(tenants[*wl], payload.clone()).ok()
+}
+
+/// Keeps [`HIGH_WATER`] requests outstanding for [`PHASE`] completions
+/// and returns completions per second.
+fn capacity(fe: &AdmissionFrontend, tenants: &[TenantId], requests: &[(usize, Vec<u8>)]) -> f64 {
+    let closed = |k| submit(fe, tenants, requests, k).expect("closed loop stays under high water");
+    let mut window: VecDeque<Ticket> = (0..HIGH_WATER).map(closed).collect();
+    let start = Instant::now();
+    for k in HIGH_WATER..HIGH_WATER + PHASE {
+        window.pop_front().expect("window is full").wait().expect("mixed request serves");
+        window.push_back(closed(k));
+    }
+    let rate = PHASE as f64 / start.elapsed().as_secs_f64();
+    for t in window {
+        t.wait().expect("mixed request serves");
+    }
+    rate
+}
+
+/// Sends [`PHASE`] Poisson arrivals at `rate` per second. A collector
+/// thread waits on each admitted ticket in turn.
+fn open_loop(
+    fe: &AdmissionFrontend,
+    tenants: &[TenantId],
+    requests: &[(usize, Vec<u8>)],
+    rate: f64,
+    seed: u64,
+) -> Phase {
+    let mut drbg = HmacDrbg::new(&seed.to_le_bytes());
+    let (tx, rx) = mpsc::channel::<(Ticket, Instant)>();
+    let collector = thread::spawn(move || {
+        rx.into_iter()
+            .map(|(ticket, scheduled)| {
+                ticket.wait().expect("mixed request serves");
+                scheduled.elapsed()
+            })
+            .collect::<Vec<Duration>>()
+    });
+    let mut scheduled = Instant::now();
+    let mut shed = 0;
+    for k in 0..PHASE {
+        scheduled += Duration::from_secs_f64(-(1.0 - drbg.next_f64()).ln() / rate);
+        if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
+            thread::sleep(wait);
+        }
+        match submit(fe, tenants, requests, k) {
+            Some(ticket) => tx.send((ticket, scheduled)).expect("collector alive"),
+            None => shed += 1,
+        }
+    }
+    drop(tx);
+    let mut latencies = collector.join().expect("collector thread");
+    latencies.sort_unstable();
+    let pct = |p: usize| latencies[(latencies.len() - 1) * p / 100].as_secs_f64() * 1e3;
+    Phase { served: latencies.len(), shed, p50_ms: pct(50), p99_ms: pct(99) }
+}
+
 fn main() -> ExitCode {
-    let mut quick = false;
     let mut metrics_out: Option<String> = None;
-    let mut seed = 23u64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--metrics-out" => match args.next() {
-                Some(path) => metrics_out = Some(path),
-                None => return usage(),
-            },
-            "--seed" => match args.next().map(|s| s.parse::<u64>()) {
-                Some(Ok(s)) => seed = s,
-                _ => return usage(),
-            },
+        match (arg.as_str(), args.next()) {
+            ("--metrics-out", Some(path)) => metrics_out = Some(path),
             _ => return usage(),
         }
     }
 
-    // Stage 1: real admission serving. Every request goes enqueue ->
-    // admit -> claim through the real frontend and pool, so the
-    // telemetry snapshot reflects real serving, not simulation.
-    let rounds = if quick { 2 } else { 8 };
-    println!("=== loadgen: real admission warm-up ({rounds} mixed rounds, 1 worker) ===");
+    let cores = std::thread::available_parallelism().ok().map(|n| n.get() as u64);
+    println!(
+        "=== loadgen: real serving, 1 worker on {} cores, high_water {HIGH_WATER}, \
+         batch_max {BATCH_MAX} ===",
+        cores.unwrap_or(0)
+    );
     let mut r = rig(1);
-    let mut checksum = 0u64;
-    for _ in 0..rounds {
-        checksum = checksum.wrapping_add(admission_round(&mut r));
-    }
-    println!("  {} requests served, round checksum {checksum:#x}", rounds * BATCH);
-    let named = measured_mix();
-    for (name, m) in &named {
-        println!("  measured service time {name:<14} {:>8.0} µs", m.service_us);
-    }
-    let mix: Vec<MixEntry> = named.iter().map(|(_, m)| *m).collect();
-
-    // Stage 2: scaled series. `--quick` drives ~10^3 concurrent clients
-    // per series plus one 10^5-client overload series (>=10^5 simulated
-    // client completions in total); the full run drives 10^5 clients to
-    // 10^6 completions.
-    let (half_clients, over_clients, half_total, over_total) = if quick {
-        (2usize, 100_000usize, 20_000usize, 100_000usize)
-    } else {
-        (8, 100_000, 200_000, 1_000_000)
+    // Verify every tenant once, so the phases replay resident instances.
+    admission_round(&mut r);
+    let config = AdmissionConfig {
+        queue_capacity: HIGH_WATER,
+        high_water: HIGH_WATER,
+        batch_max: BATCH_MAX,
     };
-    println!("\n=== loadgen: closed-loop series (seed {seed}) ===");
-    let half = simulate_serving(&sim_config(
-        &mix,
-        Arrival::Closed { clients: half_clients, think_us: 0 },
-        half_total,
-        seed,
-    ));
-    println!(
-        "  half-saturation  {half_clients:>7} clients: p50 {:>7} µs  p99 {:>7} µs  \
-         {:>8.0} rps  shed {:>5.1}%",
-        half.p50_us,
-        half.p99_us,
-        half.throughput_rps,
-        half.shed_rate * 100.0
-    );
-    let over = simulate_serving(&sim_config(
-        &mix,
-        Arrival::Closed { clients: over_clients, think_us: 100_000 },
-        over_total,
-        seed,
-    ));
-    println!(
-        "  overload (shed)  {over_clients:>7} clients: p50 {:>7} µs  p99 {:>7} µs  \
-         {:>8.0} rps  shed {:>5.1}%",
-        over.p50_us,
-        over.p99_us,
-        over.throughput_rps,
-        over.shed_rate * 100.0
-    );
-
-    println!("\n=== loadgen: open-loop series ===");
-    let quick_div = if quick { 4 } else { 1 };
-    for rate in [1_000.0f64, 4_000.0, 16_000.0] {
-        let r = simulate_serving(&sim_config(
-            &mix,
-            Arrival::Open { rate_rps: rate },
-            40_000 / quick_div,
-            seed,
-        ));
+    let (fe, tenants) = frontend(&r, config);
+    let (pool, requests) = (&mut r.pool, &r.requests);
+    let (cap, half, over) = thread::scope(|s| {
+        let dispatcher = s.spawn(|| fe.run_dispatcher(pool, FUEL));
+        let cap = capacity(&fe, &tenants, requests);
+        println!("  capacity  {cap:>7.1} /s  (closed loop, {HIGH_WATER} outstanding)");
+        let half = open_loop(&fe, &tenants, requests, cap / 2.0, SEED);
+        let over = open_loop(&fe, &tenants, requests, cap * 2.0, SEED + 1);
+        fe.close();
+        dispatcher.join().expect("dispatcher thread");
+        (cap, half, over)
+    });
+    for (label, offered, p) in [("half load", cap / 2.0, &half), ("overload", cap * 2.0, &over)] {
         println!(
-            "  offered {rate:>7.0} rps: p99 {:>7} µs  completed {:>8.0} rps  shed {:>5.1}%",
-            r.p99_us,
-            r.throughput_rps,
-            r.shed_rate * 100.0
+            "  {label:<9} {offered:>7.1} /s offered: {} served, {} shed ({:.1}%), \
+             p50 {:.2} ms, p99 {:.2} ms",
+            p.served,
+            p.shed,
+            p.shed as f64 / PHASE as f64 * 100.0,
+            p.p50_ms,
+            p.p99_ms
         );
     }
 
-    let simulated_clients = over_clients + half_clients;
-    let completions = half.completed + over.completed;
-    println!("\nsimulated clients: {simulated_clients}  completions (closed-loop): {completions}");
-
     if let Some(path) = metrics_out {
-        let cores = std::thread::available_parallelism().ok().map(|n| n.get() as u64);
         let snapshot = Collector::snapshot();
         if let Err(e) = std::fs::write(&path, snapshot.to_json_stamped(cores)) {
             eprintln!("failed to write {path}: {e}");
@@ -161,20 +188,19 @@ fn main() -> ExitCode {
         println!("wrote {path}");
     }
 
-    // Acceptance gate: bounded tail under shedding. The queue being
-    // bounded means p99 cannot grow with offered load; 10x is the
-    // envelope ISSUE 10 pins.
-    let bound = 10.0 * half.p99_us as f64;
-    if over.p99_us as f64 > bound {
+    let ratio = over.p99_ms / half.p99_ms;
+    if over.shed == 0 || ratio > TAIL_BOUND {
         eprintln!(
-            "FAIL: p99 under shedding ({} µs) exceeds 10x half-saturation p99 ({} µs)",
-            over.p99_us, half.p99_us
+            "FAIL: overload shed {} and its p99 {:.2} ms is {ratio:.1}x half-load p99 {:.2} ms \
+             (need shed > 0 and <= {TAIL_BOUND}x)",
+            over.shed, over.p99_ms, half.p99_ms
         );
         return ExitCode::from(1);
     }
     println!(
-        "PASS: p99 under shedding {} µs <= 10x half-saturation p99 {} µs",
-        over.p99_us, half.p99_us
+        "PASS: overload shed {} and its p99 {:.2} ms is {ratio:.1}x half-load p99 {:.2} ms \
+         (<= {TAIL_BOUND}x)",
+        over.shed, over.p99_ms, half.p99_ms
     );
     ExitCode::SUCCESS
 }
