@@ -63,10 +63,8 @@ fn star_src(patched_leaf_const: u64) -> String {
 fn code_window(binary: &[u8], layout: &EnclaveLayout) -> (Vec<u8>, usize, Vec<usize>) {
     let mut mem = Memory::new(layout.clone());
     let program = load(binary, &mut mem).expect("honest binary loads");
-    let code = mem
-        .peek_bytes(layout.code.start, program.code_len)
-        .expect("loader wrote the code window")
-        .to_vec();
+    let code =
+        mem.peek_bytes(layout.code.start, program.code_len).expect("loader wrote the code window");
     let entry = (program.entry_va - layout.code.start) as usize;
     (code, entry, program.ibt_offsets)
 }

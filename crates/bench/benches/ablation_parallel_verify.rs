@@ -39,10 +39,8 @@ fn verify_inputs(binary: &[u8]) -> VerifyInputs {
     let layout = EnclaveLayout::new(MemConfig::small());
     let mut mem = Memory::new(layout.clone());
     let program = load(binary, &mut mem).expect("bench binary loads");
-    let code = mem
-        .peek_bytes(layout.code.start, program.code_len)
-        .expect("loader wrote the code window")
-        .to_vec();
+    let code =
+        mem.peek_bytes(layout.code.start, program.code_len).expect("loader wrote the code window");
     let entry = (program.entry_va - layout.code.start) as usize;
     VerifyInputs { code, entry, ibt: program.ibt_offsets, layout }
 }

@@ -368,10 +368,8 @@ pub fn install_incremental(
 ) -> Result<Installed, InstallError> {
     let layout: EnclaveLayout = mem.layout().clone();
     let program = load(binary, mem)?;
-    let code = mem
-        .peek_bytes(layout.code.start, program.code_len)
-        .expect("loader wrote the code window")
-        .to_vec();
+    let code =
+        mem.peek_bytes(layout.code.start, program.code_len).expect("loader wrote the code window");
     let entry = (program.entry_va - layout.code.start) as usize;
     let verified =
         verify_incremental(&code, entry, &program.ibt_offsets, &manifest.policy, &layout, cache)?;

@@ -343,7 +343,7 @@ mod tests {
         let loaded = load(&obj.serialize(), &mut mem).unwrap();
         // Find one MovRI in the loaded code whose imm equals the g address.
         let g_va = loaded.symbols["g"];
-        let code = mem.peek_bytes(mem.layout().code.start, loaded.code_len).unwrap().to_vec();
+        let code = mem.peek_bytes(mem.layout().code.start, loaded.code_len).unwrap();
         let d = deflection_isa::disassemble(
             &code,
             (loaded.entry_va - mem.layout().code.start) as usize,

@@ -192,7 +192,7 @@ mod tests {
         let layout = EnclaveLayout::new(MemConfig::small());
         let mut mem = Memory::new(layout.clone());
         let loaded = crate::consumer::loader::load(&obj.serialize(), &mut mem).unwrap();
-        let code = mem.peek_bytes(layout.code.start, loaded.code_len).unwrap().to_vec();
+        let code = mem.peek_bytes(layout.code.start, loaded.code_len).unwrap();
         let entry = (loaded.entry_va - layout.code.start) as usize;
         let verified = verify(&code, entry, &loaded.ibt_offsets, &policy).unwrap();
         let bindings = Bindings::from_layout(&layout, loaded.ibt_addresses.len() as u64, 100);
@@ -200,7 +200,7 @@ mod tests {
 
         // Re-disassemble: no placeholder immediates may remain, and the
         // real bounds must appear.
-        let code2 = mem.peek_bytes(layout.code.start, loaded.code_len).unwrap().to_vec();
+        let code2 = mem.peek_bytes(layout.code.start, loaded.code_len).unwrap();
         let d = deflection_isa::disassemble(&code2, entry, &loaded.ibt_offsets).unwrap();
         let mut saw_lo = false;
         for (_, inst, _) in d.insts() {

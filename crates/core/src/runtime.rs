@@ -149,7 +149,7 @@ impl VmHost for HostState {
                         reason: "no data-owner session".into(),
                     });
                 };
-                let plaintext = mem.peek_bytes(ptr, len)?.to_vec();
+                let plaintext = mem.peek_bytes(ptr, len)?;
                 self.outbox.push(seal_record(
                     &key,
                     self.channel,

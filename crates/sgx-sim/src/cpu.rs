@@ -49,7 +49,7 @@ pub enum PredInst {
 /// trace formation so a miss decodes exactly once.
 pub(crate) fn fetch_decode_at(mem: &Memory, pc: u64) -> Result<(Inst, u8), Fault> {
     let window = mem.fetch_window(pc)?;
-    let (inst, len) = decode(window, 0).map_err(|e| {
+    let (inst, len) = decode(&window, 0).map_err(|e| {
         Fault::Decode(deflection_isa::DecodeError { offset: pc as usize, kind: e.kind })
     })?;
     debug_assert!(len <= 16);

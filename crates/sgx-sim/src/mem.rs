@@ -56,12 +56,157 @@ pub struct LeakRecord {
 
 const MAX_LEAK_LOG: usize = 1024;
 
+/// Bytes per simulated page, as a `usize` for indexing.
+const PAGE: usize = PAGE_SIZE as usize;
+
+/// The contents of one allocated page.
+type PageBytes = Box<[u8; PAGE]>;
+
+/// A page-granular byte store. A page is allocated by the first write that
+/// puts a non-zero byte in it, and a page never allocated reads as zeros.
+/// The enclave reserves far more than its loader, verifier and target
+/// program touch, so a memory holds only the pages that were written.
+#[derive(Debug, Clone)]
+struct Pages(Vec<Option<PageBytes>>);
+
+impl Pages {
+    /// `len` bytes (a multiple of [`PAGE_SIZE`]), no page allocated.
+    fn new(len: u64) -> Self {
+        Pages(vec![None; (len / PAGE_SIZE) as usize])
+    }
+
+    /// A store of `len` bytes holding exactly the `(page index, contents)`
+    /// pairs in `stored`.
+    fn from_stored(len: u64, stored: &[(usize, PageBytes)]) -> Self {
+        let mut pages = Pages::new(len);
+        for (i, bytes) in stored {
+            pages.0[*i] = Some(bytes.clone());
+        }
+        pages
+    }
+
+    /// Length in bytes.
+    fn len(&self) -> u64 {
+        self.0.len() as u64 * PAGE_SIZE
+    }
+
+    /// Number of allocated pages.
+    fn allocated(&self) -> usize {
+        self.0.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// `(page index, contents)` of every page holding a non-zero byte.
+    fn nonzero(&self) -> Vec<(usize, PageBytes)> {
+        // OR-reducing 64-byte blocks vectorizes; a byte-wise early-exit
+        // scan does not.
+        let nonzero =
+            |page: &[u8; PAGE]| page.chunks(64).any(|b| b.iter().fold(0, |acc, &x| acc | x) != 0);
+        self.0
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.as_ref().filter(|p| nonzero(p)).map(|p| (i, p.clone())))
+            .collect()
+    }
+
+    /// The `len` (1..=8) bytes at `off`, which lie in one page, as a
+    /// little-endian integer.
+    #[inline]
+    fn read_word(&self, off: usize, len: usize) -> u64 {
+        let Some(page) = &self.0[off / PAGE] else { return 0 };
+        let o = off % PAGE;
+        if len == 8 {
+            return u64::from_le_bytes(page[o..o + 8].try_into().expect("8 bytes"));
+        }
+        let mut word = [0u8; 8];
+        word[..len].copy_from_slice(&page[o..o + len]);
+        u64::from_le_bytes(word)
+    }
+
+    /// Writes the low `len` (1..=8) bytes of `value`, little-endian, at
+    /// `off`; the bytes lie in one page.
+    #[inline]
+    fn write_word(&mut self, off: usize, len: usize, value: u64) {
+        let bytes = value.to_le_bytes();
+        let o = off % PAGE;
+        if let Some(page) = self.page_for_write(off / PAGE, &bytes[..len]) {
+            page[o..o + len].copy_from_slice(&bytes[..len]);
+        }
+    }
+
+    /// The `len` (1..=8) bytes at `off`, on any pages, as a little-endian
+    /// integer.
+    fn read_le(&self, off: usize, len: usize) -> u64 {
+        let mut word = [0u8; 8];
+        self.read(off, &mut word[..len]);
+        u64::from_le_bytes(word)
+    }
+
+    /// Page `i` for a write of `bytes`, allocated first if need be, or
+    /// `None` when it is unallocated and `bytes` are all zero: writing them
+    /// would change nothing.
+    #[inline]
+    fn page_for_write(&mut self, i: usize, bytes: &[u8]) -> Option<&mut [u8; PAGE]> {
+        let slot = &mut self.0[i];
+        if slot.is_none() {
+            if bytes.iter().all(|&b| b == 0) {
+                return None;
+            }
+            *slot = Some(vec![0; PAGE].into_boxed_slice().try_into().expect("one page"));
+        }
+        slot.as_deref_mut()
+    }
+
+    /// Copies the bytes at `off..off + buf.len()`, which may span pages,
+    /// into `buf`.
+    fn read(&self, mut off: usize, mut buf: &mut [u8]) {
+        while !buf.is_empty() {
+            let o = off % PAGE;
+            let (dst, rest) = buf.split_at_mut((PAGE - o).min(buf.len()));
+            match &self.0[off / PAGE] {
+                Some(page) => dst.copy_from_slice(&page[o..o + dst.len()]),
+                None => dst.fill(0),
+            }
+            off += dst.len();
+            buf = rest;
+        }
+    }
+
+    /// Copies `bytes` to `off..off + bytes.len()`, which may span pages.
+    fn write(&mut self, mut off: usize, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let o = off % PAGE;
+            let (src, rest) = bytes.split_at((PAGE - o).min(bytes.len()));
+            if let Some(page) = self.page_for_write(off / PAGE, src) {
+                page[o..o + src.len()].copy_from_slice(src);
+            }
+            off += src.len();
+            bytes = rest;
+        }
+    }
+}
+
+/// Up to 16 code bytes at a fetch address, copied out for the decoder (see
+/// [`Memory::fetch_window`]). Dereferences to the bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchWindow {
+    bytes: [u8; 16],
+    len: u8,
+}
+
+impl std::ops::Deref for FetchWindow {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
 /// Simulated memory: one untrusted region at address 0 and the enclave.
 #[derive(Debug, Clone)]
 pub struct Memory {
     layout: EnclaveLayout,
-    untrusted: Vec<u8>,
-    enclave: Vec<u8>,
+    untrusted: Pages,
+    enclave: Pages,
     perms: Vec<PagePerm>,
     /// Monotonic code-write generation: bumped once per write or permission
     /// change that touches at least one executable page. The software icache
@@ -78,14 +223,15 @@ pub struct Memory {
 }
 
 impl Memory {
-    /// Allocates memory for `layout` and applies the region permissions.
+    /// Maps memory for `layout` and applies the region permissions. No page
+    /// is allocated until something writes a non-zero byte to it.
     #[must_use]
     pub fn new(layout: EnclaveLayout) -> Self {
-        let enclave_len = layout.elrange.len() as usize;
-        let pages = enclave_len / PAGE_SIZE as usize;
+        let enclave_len = layout.elrange.len();
+        let pages = (enclave_len / PAGE_SIZE) as usize;
         let mut mem = Memory {
-            untrusted: vec![0; layout.config.untrusted_size as usize],
-            enclave: vec![0; enclave_len],
+            untrusted: Pages::new(layout.config.untrusted_size),
+            enclave: Pages::new(enclave_len),
             perms: vec![PagePerm::NONE; pages],
             code_gen: 0,
             page_code_gen: vec![0; pages],
@@ -112,6 +258,13 @@ impl Memory {
     #[must_use]
     pub fn layout(&self) -> &EnclaveLayout {
         &self.layout
+    }
+
+    /// Number of allocated pages, enclave and untrusted together: the
+    /// pages some write has put a non-zero byte in.
+    #[must_use]
+    pub fn allocated_pages(&self) -> usize {
+        self.enclave.allocated() + self.untrusted.allocated()
     }
 
     /// Sets the permissions of every page in `region`.
@@ -189,8 +342,8 @@ impl Memory {
         if len == 0 {
             return;
         }
-        let first = off / PAGE_SIZE as usize;
-        let last = (off + len - 1) / PAGE_SIZE as usize;
+        let first = off / PAGE;
+        let last = (off + len - 1) / PAGE;
         let mut bumped = false;
         for p in first..=last {
             if self.perms[p].x {
@@ -211,10 +364,15 @@ impl Memory {
     fn enclave_single_page_offset(&self, addr: u64, len64: u64) -> Option<usize> {
         let off = addr.checked_sub(self.layout.elrange.start)?;
         let end = off.checked_add(len64)?;
-        if end > self.enclave.len() as u64 || off / PAGE_SIZE != (end - 1) / PAGE_SIZE {
+        if end > self.enclave.len() || off / PAGE_SIZE != (end - 1) / PAGE_SIZE {
             return None;
         }
         Some(off as usize)
+    }
+
+    /// Whether the `len64`-byte access at `addr` lies in untrusted memory.
+    fn in_untrusted(&self, addr: u64, len64: u64) -> bool {
+        Region::new(0, self.untrusted.len()).contains_range(addr, len64)
     }
 
     /// Returns the permission of the page containing `addr` (enclave only).
@@ -260,17 +418,17 @@ impl Memory {
         debug_assert!((1..=8).contains(&len));
         let len64 = len as u64;
         if let Some(off) = self.enclave_single_page_offset(addr, len64) {
-            if !self.perms[off / PAGE_SIZE as usize].r {
+            if !self.perms[off / PAGE].r {
                 return Err(Fault::ReadViolation { addr });
             }
-            return Ok(read_le(&self.enclave[off..off + len as usize]));
+            return Ok(self.enclave.read_word(off, len as usize));
         }
         if self.layout.elrange.contains_range(addr, len64) {
             self.check_enclave_perm(addr, len64, Access::Read)?;
             let off = (addr - self.layout.elrange.start) as usize;
-            Ok(read_le(&self.enclave[off..off + len as usize]))
-        } else if Region::new(0, self.untrusted.len() as u64).contains_range(addr, len64) {
-            Ok(read_le(&self.untrusted[addr as usize..addr as usize + len as usize]))
+            Ok(self.enclave.read_le(off, len as usize))
+        } else if self.in_untrusted(addr, len64) {
+            Ok(self.untrusted.read_le(addr as usize, len as usize))
         } else {
             Err(Fault::Unmapped { addr })
         }
@@ -287,12 +445,12 @@ impl Memory {
         debug_assert!((1..=8).contains(&len));
         let len64 = len as u64;
         if let Some(off) = self.enclave_single_page_offset(addr, len64) {
-            let page = off / PAGE_SIZE as usize;
+            let page = off / PAGE;
             let perm = self.perms[page];
             if !perm.w {
                 return Err(Fault::WriteViolation { addr });
             }
-            write_le(&mut self.enclave[off..off + len as usize], value);
+            self.enclave.write_word(off, len as usize, value);
             if perm.x {
                 // Self-modifying code (the SGXv1 RWX window permits it):
                 // invalidate any cached decodes of this page.
@@ -301,18 +459,20 @@ impl Memory {
             }
             return Ok(());
         }
+        let bytes = value.to_le_bytes();
+        let bytes = &bytes[..len as usize];
         if self.layout.elrange.contains_range(addr, len64) {
             self.check_enclave_perm(addr, len64, Access::Write)?;
             let off = (addr - self.layout.elrange.start) as usize;
-            write_le(&mut self.enclave[off..off + len as usize], value);
-            self.note_enclave_write(off, len as usize);
+            self.enclave.write(off, bytes);
+            self.note_enclave_write(off, bytes.len());
             Ok(())
-        } else if Region::new(0, self.untrusted.len() as u64).contains_range(addr, len64) {
+        } else if self.in_untrusted(addr, len64) {
             self.untrusted_write_count += 1;
             if self.leak_log.len() < MAX_LEAK_LOG {
                 self.leak_log.push(LeakRecord { addr, len });
             }
-            write_le(&mut self.untrusted[addr as usize..addr as usize + len as usize], value);
+            self.untrusted.write(addr as usize, bytes);
             Ok(())
         } else {
             Err(Fault::Unmapped { addr })
@@ -327,12 +487,12 @@ impl Memory {
     /// # Errors
     ///
     /// Faults if `pc` is outside the enclave or on a non-executable page.
-    pub fn fetch_window(&self, pc: u64) -> Result<&[u8], Fault> {
+    pub fn fetch_window(&self, pc: u64) -> Result<FetchWindow, Fault> {
         if !self.layout.elrange.contains(pc) {
             return Err(Fault::NotExecutable { addr: pc });
         }
         let off = (pc - self.layout.elrange.start) as usize;
-        let page = off / PAGE_SIZE as usize;
+        let page = off / PAGE;
         if !self.perms[page].x {
             // Same fault address check_enclave_perm reported: the absolute
             // base of the offending page.
@@ -342,15 +502,32 @@ impl Memory {
         // Clamp at the first non-executable page. The in-range and X checks
         // above are hoisted out of this loop: pages are indexed directly in
         // the permission table instead of re-validating `contains` per page.
-        let mut next_page_off = (page + 1) * PAGE_SIZE as usize;
+        let mut next_page_off = (page + 1) * PAGE;
         while next_page_off < off + avail {
-            if !self.perms[next_page_off / PAGE_SIZE as usize].x {
+            if !self.perms[next_page_off / PAGE].x {
                 avail = next_page_off - off;
                 break;
             }
-            next_page_off += PAGE_SIZE as usize;
+            next_page_off += PAGE;
         }
-        Ok(&self.enclave[off..off + avail])
+        let mut window = FetchWindow { bytes: [0; 16], len: avail as u8 };
+        self.enclave.read(off, &mut window.bytes[..avail]);
+        Ok(window)
+    }
+
+    /// Copies the bytes at `addr..addr + buf.len()` into `buf`, bypassing
+    /// page permissions.
+    fn read_bytes(&self, addr: u64, buf: &mut [u8]) -> Result<(), Fault> {
+        let len64 = buf.len() as u64;
+        if self.layout.elrange.contains_range(addr, len64) {
+            self.enclave.read((addr - self.layout.elrange.start) as usize, buf);
+            Ok(())
+        } else if self.in_untrusted(addr, len64) {
+            self.untrusted.read(addr as usize, buf);
+            Ok(())
+        } else {
+            Err(Fault::Unmapped { addr })
+        }
     }
 
     /// Privileged read bypassing page permissions (the trusted consumer /
@@ -359,16 +536,10 @@ impl Memory {
     /// # Errors
     ///
     /// Faults only on unmapped addresses.
-    pub fn peek_bytes(&self, addr: u64, len: usize) -> Result<&[u8], Fault> {
-        let len64 = len as u64;
-        if self.layout.elrange.contains_range(addr, len64) {
-            let off = (addr - self.layout.elrange.start) as usize;
-            Ok(&self.enclave[off..off + len])
-        } else if Region::new(0, self.untrusted.len() as u64).contains_range(addr, len64) {
-            Ok(&self.untrusted[addr as usize..addr as usize + len])
-        } else {
-            Err(Fault::Unmapped { addr })
-        }
+    pub fn peek_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>, Fault> {
+        let mut bytes = vec![0; len];
+        self.read_bytes(addr, &mut bytes)?;
+        Ok(bytes)
     }
 
     /// Privileged write bypassing page permissions (loader/runtime path).
@@ -380,11 +551,11 @@ impl Memory {
         let len64 = bytes.len() as u64;
         if self.layout.elrange.contains_range(addr, len64) {
             let off = (addr - self.layout.elrange.start) as usize;
-            self.enclave[off..off + bytes.len()].copy_from_slice(bytes);
+            self.enclave.write(off, bytes);
             self.note_enclave_write(off, bytes.len());
             Ok(())
-        } else if Region::new(0, self.untrusted.len() as u64).contains_range(addr, len64) {
-            self.untrusted[addr as usize..addr as usize + bytes.len()].copy_from_slice(bytes);
+        } else if self.in_untrusted(addr, len64) {
+            self.untrusted.write(addr as usize, bytes);
             Ok(())
         } else {
             Err(Fault::Unmapped { addr })
@@ -397,7 +568,9 @@ impl Memory {
     ///
     /// Faults only on unmapped addresses.
     pub fn peek_u64(&self, addr: u64) -> Result<u64, Fault> {
-        Ok(read_le(self.peek_bytes(addr, 8)?))
+        let mut word = [0; 8];
+        self.read_bytes(addr, &mut word)?;
+        Ok(u64::from_le_bytes(word))
     }
 
     /// Privileged 64-bit write.
@@ -418,17 +591,15 @@ impl Memory {
 /// out of more than a thousand — so an install cache that keeps images as
 /// [`MemImage`]s holds kilobytes per binary instead of the whole address
 /// space. [`Memory::from_image`] rebuilds a memory that is equal in every
-/// byte, permission, stamp and counter to the one captured; pages the
-/// image does not store are left untouched in a zero-initialized
-/// allocation, so they cost no resident memory until something writes
-/// them.
+/// byte, permission, stamp and counter to the one captured, and allocates
+/// only the pages the image stores.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemImage {
     layout: EnclaveLayout,
     /// `(page index, contents)` of every enclave page with a non-zero byte.
-    enclave_pages: Vec<(usize, Box<[u8]>)>,
+    enclave_pages: Vec<(usize, PageBytes)>,
     /// `(page index, contents)` of every non-zero untrusted-memory page.
-    untrusted_pages: Vec<(usize, Box<[u8]>)>,
+    untrusted_pages: Vec<(usize, PageBytes)>,
     perms: Vec<PagePerm>,
     code_gen: u64,
     page_code_gen: Vec<u64>,
@@ -450,27 +621,14 @@ impl MemImage {
     }
 }
 
-/// The non-zero `PAGE_SIZE` chunks of `bytes`, by chunk index.
-fn nonzero_pages(bytes: &[u8]) -> Vec<(usize, Box<[u8]>)> {
-    // OR-reducing 64-byte blocks vectorizes; a byte-wise early-exit scan
-    // does not, and this runs over the whole address space per capture.
-    let nonzero = |page: &[u8]| page.chunks(64).any(|b| b.iter().fold(0, |acc, &x| acc | x) != 0);
-    bytes
-        .chunks(PAGE_SIZE as usize)
-        .enumerate()
-        .filter(|(_, page)| nonzero(page))
-        .map(|(i, page)| (i, page.into()))
-        .collect()
-}
-
 impl Memory {
     /// Captures this memory as a compact [`MemImage`].
     #[must_use]
     pub fn image(&self) -> MemImage {
         MemImage {
             layout: self.layout.clone(),
-            enclave_pages: nonzero_pages(&self.enclave),
-            untrusted_pages: nonzero_pages(&self.untrusted),
+            enclave_pages: self.enclave.nonzero(),
+            untrusted_pages: self.untrusted.nonzero(),
             perms: self.perms.clone(),
             code_gen: self.code_gen,
             page_code_gen: self.page_code_gen.clone(),
@@ -482,38 +640,19 @@ impl Memory {
     /// Rebuilds the memory `image` was captured from.
     #[must_use]
     pub fn from_image(image: &MemImage) -> Memory {
-        let page = PAGE_SIZE as usize;
-        let mut mem = Memory {
-            untrusted: vec![0; image.layout.config.untrusted_size as usize],
-            enclave: vec![0; image.layout.elrange.len() as usize],
+        Memory {
+            untrusted: Pages::from_stored(
+                image.layout.config.untrusted_size,
+                &image.untrusted_pages,
+            ),
+            enclave: Pages::from_stored(image.layout.elrange.len(), &image.enclave_pages),
             perms: image.perms.clone(),
             code_gen: image.code_gen,
             page_code_gen: image.page_code_gen.clone(),
             untrusted_write_count: image.untrusted_write_count,
             leak_log: image.leak_log.clone(),
             layout: image.layout.clone(),
-        };
-        for (i, bytes) in &image.enclave_pages {
-            mem.enclave[i * page..i * page + bytes.len()].copy_from_slice(bytes);
         }
-        for (i, bytes) in &image.untrusted_pages {
-            mem.untrusted[i * page..i * page + bytes.len()].copy_from_slice(bytes);
-        }
-        mem
-    }
-}
-
-fn read_le(bytes: &[u8]) -> u64 {
-    let mut v = 0u64;
-    for (i, b) in bytes.iter().enumerate() {
-        v |= (*b as u64) << (8 * i);
-    }
-    v
-}
-
-fn write_le(bytes: &mut [u8], value: u64) {
-    for (i, b) in bytes.iter_mut().enumerate() {
-        *b = (value >> (8 * i)) as u8;
     }
 }
 
@@ -679,8 +818,8 @@ mod tests {
     /// Every field of two memories, compared one by one.
     fn assert_same(a: &Memory, b: &Memory) {
         assert_eq!(a.layout, b.layout);
-        assert!(a.enclave == b.enclave, "enclave bytes differ");
-        assert!(a.untrusted == b.untrusted, "untrusted bytes differ");
+        assert!(a.enclave.nonzero() == b.enclave.nonzero(), "enclave bytes differ");
+        assert!(a.untrusted.nonzero() == b.untrusted.nonzero(), "untrusted bytes differ");
         assert_eq!(a.perms, b.perms);
         assert_eq!(a.code_gen, b.code_gen);
         assert_eq!(a.page_code_gen, b.page_code_gen);

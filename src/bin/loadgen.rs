@@ -9,9 +9,9 @@
 //! [`AdmissionFrontend`] → [`EnclavePool`] path on a 1-worker pool, with
 //! the dispatcher on its own thread, in three phases of [`PHASE`] requests:
 //!
-//! 1. **Capacity** — a closed loop keeps [`HIGH_WATER`] requests
-//!    outstanding, the most the queue admits without shedding; capacity is
-//!    completions per second.
+//! 1. **Capacity** — a saturated phase keeps the queue at its high water
+//!    while the worker serves, so each batch is queued before the last one
+//!    ends; capacity is that phase's own completion rate.
 //! 2. **Half load** — open-loop Poisson arrivals at ½× capacity.
 //! 3. **Overload** — open-loop Poisson arrivals at 2× capacity.
 //!
@@ -32,7 +32,6 @@ use deflection::core::admission::{AdmissionConfig, AdmissionFrontend, Ticket};
 use deflection::core::tenant::TenantId;
 use deflection::crypto::drbg::HmacDrbg;
 use deflection::telemetry::Collector;
-use std::collections::VecDeque;
 use std::process::ExitCode;
 use std::sync::mpsc;
 use std::thread;
@@ -49,6 +48,9 @@ const BATCH_MAX: usize = 16;
 const PHASE: usize = 2000;
 /// Seed of the Poisson arrival gaps.
 const SEED: u64 = 23;
+/// Pause before a saturating submitter retries a shed request: well under
+/// one request's service time, so the queue refills while a batch runs.
+const RETRY: Duration = Duration::from_micros(100);
 /// Overload p99 may be at most this multiple of half-load p99.
 const TAIL_BOUND: f64 = 10.0;
 
@@ -76,21 +78,31 @@ fn submit(
     fe.submit(tenants[*wl], payload.clone()).ok()
 }
 
-/// Keeps [`HIGH_WATER`] requests outstanding for [`PHASE`] completions
-/// and returns completions per second.
+/// Keeps the queue at [`HIGH_WATER`] until [`PHASE`] requests are
+/// admitted (a shed submission is retried after [`RETRY`]) and returns
+/// completions per second. A closed loop of [`HIGH_WATER`] outstanding
+/// requests reads low: the dispatcher drains them all as one batch, and
+/// the next batch is only submitted after that one ends.
 fn capacity(fe: &AdmissionFrontend, tenants: &[TenantId], requests: &[(usize, Vec<u8>)]) -> f64 {
-    let closed = |k| submit(fe, tenants, requests, k).expect("closed loop stays under high water");
-    let mut window: VecDeque<Ticket> = (0..HIGH_WATER).map(closed).collect();
+    let (tx, rx) = mpsc::channel::<Ticket>();
     let start = Instant::now();
-    for k in HIGH_WATER..HIGH_WATER + PHASE {
-        window.pop_front().expect("window is full").wait().expect("mixed request serves");
-        window.push_back(closed(k));
+    let collector = thread::spawn(move || {
+        for ticket in rx {
+            ticket.wait().expect("mixed request serves");
+        }
+        start.elapsed()
+    });
+    for k in 0..PHASE {
+        let ticket = loop {
+            match submit(fe, tenants, requests, k) {
+                Some(ticket) => break ticket,
+                None => thread::sleep(RETRY),
+            }
+        };
+        tx.send(ticket).expect("collector alive");
     }
-    let rate = PHASE as f64 / start.elapsed().as_secs_f64();
-    for t in window {
-        t.wait().expect("mixed request serves");
-    }
-    rate
+    drop(tx);
+    PHASE as f64 / collector.join().expect("collector thread").as_secs_f64()
 }
 
 /// Sends [`PHASE`] Poisson arrivals at `rate` per second. A collector
@@ -160,7 +172,7 @@ fn main() -> ExitCode {
     let (cap, half, over) = thread::scope(|s| {
         let dispatcher = s.spawn(|| fe.run_dispatcher(pool, FUEL));
         let cap = capacity(&fe, &tenants, requests);
-        println!("  capacity  {cap:>7.1} /s  (closed loop, {HIGH_WATER} outstanding)");
+        println!("  capacity  {cap:>7.1} /s  (saturated, queue at high water {HIGH_WATER})");
         let half = open_loop(&fe, &tenants, requests, cap / 2.0, SEED);
         let over = open_loop(&fe, &tenants, requests, cap * 2.0, SEED + 1);
         fe.close();

@@ -51,8 +51,8 @@ fn snapshot(enclave: &BootstrapEnclave, report: RunReport) -> Snapshot {
         blur_padding: report.blur_padding,
         log: enclave.log_values().to_vec(),
         leak_log: mem.leak_log.clone(),
-        enclave_digest: sha256(enclave_bytes),
-        untrusted_digest: sha256(untrusted_bytes),
+        enclave_digest: sha256(&enclave_bytes),
+        untrusted_digest: sha256(&untrusted_bytes),
     }
 }
 

@@ -53,7 +53,7 @@ fn observable(enclave: &BootstrapEnclave, report: RunReport) -> Observable {
         blur_padding: report.blur_padding,
         log: enclave.log_values().to_vec(),
         leak_log: mem.leak_log.clone(),
-        untrusted_digest: sha256(untrusted_bytes),
+        untrusted_digest: sha256(&untrusted_bytes),
     }
 }
 

@@ -34,10 +34,8 @@ fn verdict(binary: &[u8], policy: &PolicySet, threads: usize) -> Option<Verdict>
     let layout = EnclaveLayout::new(MemConfig::small());
     let mut mem = Memory::new(layout.clone());
     let program = load(binary, &mut mem).ok()?;
-    let code = mem
-        .peek_bytes(layout.code.start, program.code_len)
-        .expect("loader wrote the code window")
-        .to_vec();
+    let code =
+        mem.peek_bytes(layout.code.start, program.code_len).expect("loader wrote the code window");
     let entry = (program.entry_va - layout.code.start) as usize;
     let result = if threads == 1 {
         verify_with_layout(&code, entry, &program.ibt_offsets, policy, &layout)
