@@ -60,7 +60,9 @@
 //! threads claim request indices from a shared atomic counter, so a skewed
 //! batch no longer idles the statically assigned workers
 //! ([`EnclavePool::serve_parallel_round_robin`] keeps the old static
-//! `i % len` split as the ablation baseline). Request *outcomes* stay
+//! `i % len` split as the ablation baseline). Slot 0 drains the queue on
+//! the calling thread and only slots 1..N get scope-spawned threads, so a
+//! 1-worker pool serves a batch with no thread created. Request *outcomes* stay
 //! schedule-independent — serving is deterministic per request, a lost
 //! request is retried on a fresh or different worker with an identical
 //! result, and the documented lowest-request-index error rule is enforced
@@ -447,9 +449,11 @@ fn drain_queue<T: AsRef<[u8]>>(
             return out;
         }
         METRICS.pool_work_queue_claims.add(1);
-        // Worker threads are scope-spawned, so the batch's ambient trace
-        // is not inherited — the request's minted ID is re-established
-        // here, making claim/run/seal/fault events land in its lane.
+        // Slots past the first run on scope-spawned threads, which do not
+        // inherit the batch's ambient trace, and slot 0 runs on the caller
+        // under the caller's: either way the request's minted ID is set
+        // here (and the caller's restored after), so claim/run/seal/fault
+        // events land in the request's lane.
         let stop = flightrec::with_trace(traces[i], || {
             flightrec::record(EventKind::Claim, traces[i], i as u64, w.slot as u64);
             loop {
@@ -943,8 +947,9 @@ impl EnclavePool {
         for i in rebuild {
             self.rebuild_fresh(i);
         }
-        // Scope-spawned replay threads do not inherit the install's ambient
-        // trace; capture it here and attribute each switch explicitly.
+        // Replays past slot 0 run on scope-spawned threads, which do not
+        // inherit the install's ambient trace; capture it here and
+        // attribute each switch explicitly.
         let tid = flightrec::ambient();
         let EnclavePool { workers, prepared: cache, owner_key, .. } = &mut *self;
         let cache = &*cache;
@@ -956,15 +961,7 @@ impl EnclavePool {
         };
         let outcomes: Vec<Result<(), EcallError>> =
             if workers.iter().filter(|w| w.needs_replay(&hash)).count() > 1 {
-                std::thread::scope(|scope| {
-                    let switch = &switch;
-                    let handles: Vec<_> =
-                        workers.iter_mut().map(|w| scope.spawn(move || switch(w))).collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("install thread must not panic"))
-                        .collect()
-                })
+                fan_out(workers.iter_mut(), switch)
             } else {
                 workers.iter_mut().map(switch).collect()
             };
@@ -1071,8 +1068,9 @@ impl EnclavePool {
     /// one tenant's verifier-rejected binary must not eat its
     /// batch-mates' reports. `traces.len()` must equal `requests.len()`.
     ///
-    /// This is the work-stealing batch engine itself: scoped worker
-    /// threads claim request indices from a shared counter, stranded
+    /// This is the work-stealing batch engine itself: worker slots claim
+    /// request indices from a shared counter — slot 0 on the calling
+    /// thread, the others on scope-spawned threads — stranded
     /// requests are retried serially in index order, and the per-request
     /// outcomes are returned in request order. `serve_parallel` is a thin
     /// wrapper that mints traces and collapses this vector with the
@@ -1095,19 +1093,8 @@ impl EnclavePool {
             prepared: self.active.as_ref().and_then(|h| self.prepared.get(h)),
         };
         let next = AtomicUsize::new(0);
-        let mut slots: Vec<Vec<(usize, Result<RunReport, EcallError>)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in &mut self.workers {
-                let ctx = &ctx;
-                let next = &next;
-                let traces = &traces;
-                handles
-                    .push(scope.spawn(move || drain_queue(w, ctx, next, requests, traces, fuel)));
-            }
-            for h in handles {
-                slots.push(h.join().expect("worker thread must not panic"));
-            }
+        let mut slots = fan_out(self.workers.iter_mut(), |w| {
+            drain_queue(w, &ctx, &next, requests, traces, fuel)
         });
 
         // Stranded retry pass: requests claimed by a slot that died with
@@ -1189,47 +1176,56 @@ impl EnclavePool {
         for i in 0..requests.len() {
             assignments[i % worker_count].push(i);
         }
-        let mut slots: Vec<Vec<(usize, Result<RunReport, EcallError>)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (w, idxs) in self.workers.iter_mut().zip(&assignments) {
-                let traces = &traces;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::with_capacity(idxs.len());
-                    for &i in idxs {
-                        let result = flightrec::with_trace(traces[i], || {
-                            flightrec::record(EventKind::Claim, traces[i], i as u64, w.slot as u64);
-                            let r = w
-                                .enclave
-                                .provide_input(requests[i].as_ref())
-                                .and_then(|()| w.enclave.run(fuel));
-                            if let Ok(report) = &r {
-                                crate::flight::record_run_report(report);
-                            }
-                            r
-                        });
-                        // Same accounting as `serve_once`: a completed run
-                        // is served, a contained-fault report also counts
-                        // as faulted — keeping PoolHealth comparable
-                        // between the two schedulers in the ablation.
-                        if let Ok(report) = &result {
-                            w.health.served += 1;
-                            if matches!(report.exit, RunExit::Fault(_)) {
-                                w.health.faulted += 1;
-                            }
-                        }
-                        out.push((i, result));
+        let slots = fan_out(self.workers.iter_mut().zip(&assignments), |(w, idxs)| {
+            let mut out = Vec::with_capacity(idxs.len());
+            for &i in idxs {
+                let result = flightrec::with_trace(traces[i], || {
+                    flightrec::record(EventKind::Claim, traces[i], i as u64, w.slot as u64);
+                    let r = w
+                        .enclave
+                        .provide_input(requests[i].as_ref())
+                        .and_then(|()| w.enclave.run(fuel));
+                    if let Ok(report) = &r {
+                        crate::flight::record_run_report(report);
                     }
-                    out
+                    r
                 });
-                handles.push(handle);
+                // Same accounting as `serve_once`: a completed run is
+                // served, a contained-fault report also counts as faulted
+                // — keeping PoolHealth comparable between the two
+                // schedulers in the ablation.
+                if let Ok(report) = &result {
+                    w.health.served += 1;
+                    if matches!(report.exit, RunExit::Fault(_)) {
+                        w.health.faulted += 1;
+                    }
+                }
+                out.push((i, result));
             }
-            for h in handles {
-                slots.push(h.join().expect("worker thread must not panic"));
-            }
+            out
         });
         merge_results(requests.len(), slots)
     }
+}
+
+/// Runs `f` once per item and returns the results in item order: the
+/// first item on the calling thread, each later one on its own
+/// scope-spawned thread. A one-worker pool thus serves with no thread
+/// created, and an N-worker pool with N − 1.
+fn fan_out<I: Send, R: Send>(
+    items: impl IntoIterator<Item = I>,
+    f: impl Fn(I) -> R + Sync,
+) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else { return Vec::new() };
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(f(first));
+        out.extend(handles.into_iter().map(|h| h.join().expect("pool thread must not panic")));
+        out
+    })
 }
 
 /// Flattens per-worker result batches into request order. On failure the

@@ -354,3 +354,69 @@ fn output_budget_is_per_request_on_a_pool_worker() {
     let report = pool.serve_on(0, b"", FUEL).unwrap();
     assert!(matches!(report.exit, RunExit::Fault(_)));
 }
+
+/// Per-request verdicts of one batch, in request order: the exit of each
+/// report or the request's own error.
+fn verdicts(pool: &mut EnclavePool, batch: &[Vec<u8>]) -> Vec<Result<RunExit, EcallError>> {
+    use deflection_telemetry::flightrec::TraceId;
+    let traces: Vec<TraceId> = batch.iter().map(|_| TraceId::mint()).collect();
+    pool.serve_parallel_each_traced(batch, &traces, FUEL)
+        .into_iter()
+        .map(|r| r.map(|report| report.exit))
+        .collect()
+}
+
+#[test]
+fn slot_zero_killed_on_the_calling_thread_matches_a_healthy_pool() {
+    // Slot 0 drains the queue on the caller's thread. Kill it mid-batch,
+    // with no respawn left and with one, and the batch must come out as a
+    // healthy pool's: same verdict per request, in request order, and the
+    // same lowest-index error — except on a 1-worker pool that cannot
+    // respawn, where nothing is left to serve what slot 0 dropped.
+    let batch = requests(12);
+    for workers in [1usize, 2] {
+        let healthy = verdicts(&mut echo_pool(workers), &batch);
+        assert!(healthy.iter().all(Result::is_ok), "{workers} workers");
+        for budget in [0usize, 1] {
+            for k in [0usize, 3] {
+                let case = format!("{workers} workers, budget {budget}, kill after {k}");
+                let chaos = || {
+                    let mut pool = echo_pool(workers);
+                    pool.set_respawn_budget(budget);
+                    pool.chaos_kill_after(0, k);
+                    pool
+                };
+                let mut pool = chaos();
+                let got = verdicts(&mut pool, &batch);
+                let collapsed = chaos()
+                    .serve_parallel(&batch, FUEL)
+                    .map(|reports| reports.into_iter().map(|r| r.exit).collect::<Vec<RunExit>>());
+                // The lowest-index rule: the batch verdict is the first
+                // per-request error, or every exit.
+                assert_eq!(collapsed, got.iter().cloned().collect(), "{case}");
+                let health = pool.health();
+                if workers == 1 && budget == 0 {
+                    // Slot 0 is the only slot, so the kill fires on request
+                    // k; the stranded pass finds no slot for the rest.
+                    assert_eq!(got[..k], healthy[..k], "{case}");
+                    assert!(
+                        got[k..].iter().all(|v| *v == Err(EcallError::WorkerQuarantined)),
+                        "{case}: {got:?}"
+                    );
+                    assert_eq!(health.quarantined(), 1, "{case}");
+                    continue;
+                }
+                assert_eq!(got, healthy, "{case}");
+                // Whatever slot 0 dropped was served once elsewhere: by its
+                // respawn, by slot 1, or by the stranded pass.
+                assert_eq!(health.total_served(), batch.len(), "{case}");
+                let fired = health.workers[0].faulted;
+                assert!(fired <= 1, "{case}");
+                if workers == 1 {
+                    assert_eq!(fired, 1, "{case}: the caller-thread slot serves every claim");
+                }
+                assert_eq!(health.workers[0].quarantined, fired == 1 && budget == 0, "{case}");
+            }
+        }
+    }
+}

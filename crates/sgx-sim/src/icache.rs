@@ -33,15 +33,16 @@
 //! Each trace records the code-write generation of its single page;
 //! elements that can write memory carry a stamp re-check so a store into
 //! the trace's own page kills it *mid-run*, and speculated `Jcc` elements
-//! carry a pc re-check whose mismatch side-exits the trace. See
-//! `DESIGN.md` §5h for the correctness argument.
+//! carry a pc re-check whose mismatch re-enters the trace at the element
+//! holding the non-predicted successor (an index computed at formation)
+//! or, when no element holds it, side-exits the trace. See `DESIGN.md`
+//! §5h for the correctness argument.
 
 use crate::cpu::PredInst;
 use crate::layout::PAGE_SIZE;
 use crate::mem::Memory;
 use deflection_isa::Inst;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 const PAGE: usize = PAGE_SIZE as usize;
 
@@ -59,6 +60,14 @@ pub(crate) const CHECK_GEN: u8 = 1 << 1;
 /// The trace ends after this element (terminator or indirect edge).
 pub(crate) const END: u8 = 1 << 2;
 
+/// An in-trace index that addresses no element: the successor it stands
+/// for lies outside the trace.
+pub(crate) const NO_ELEM: u32 = u32::MAX;
+
+// The `alt` index and the flags share the word of padding the element
+// already had after its two addresses, so adding `alt` did not grow it.
+const _: () = assert!(std::mem::size_of::<TraceElem>() <= 3 * 8 + std::mem::size_of::<PredInst>());
+
 /// One predecoded element of a superblock trace.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TraceElem {
@@ -67,6 +76,11 @@ pub(crate) struct TraceElem {
     pub pc: u64,
     /// Predicted successor address (the next element's `pc`, when any).
     pub pred: u64,
+    /// For a speculated `Jcc`: the index of the element holding the
+    /// non-predicted successor, where a `CHECK_PC` mismatch re-enters.
+    /// [`NO_ELEM`] for every other element and when that successor lies
+    /// outside the trace.
+    pub alt: u32,
     /// `CHECK_PC` / `CHECK_GEN` / `END` bits.
     pub flags: u8,
     /// The predecoded operation.
@@ -83,20 +97,14 @@ pub(crate) struct Trace {
     pub page: usize,
     /// Code-write generation of `page` at formation time.
     pub gen: u64,
-    /// The predecoded run, entry first.
+    /// The predecoded run, entry first. Element addresses are distinct:
+    /// formation stops where the walk revisits one.
     pub elems: Box<[TraceElem]>,
-    /// Element addresses sorted by pc, for in-trace recovery: a side exit
-    /// or cycle-closing successor whose target lies inside this trace
-    /// re-enters by binary search without leaving the dispatch loop.
-    by_pc: Box<[(u64, u32)]>,
-}
-
-impl Trace {
-    /// The element index holding `pc`, if this trace covers it.
-    #[inline]
-    pub(crate) fn find(&self, pc: u64) -> Option<usize> {
-        self.by_pc.binary_search_by_key(&pc, |&(p, _)| p).ok().map(|i| self.by_pc[i].1 as usize)
-    }
+    /// Index of the element holding the last element's predicted
+    /// successor, where a run that falls off the end wraps (the entry, for
+    /// a loop body that is exactly this trace); [`NO_ELEM`] when the
+    /// successor lies outside the trace.
+    pub wrap: u32,
 }
 
 /// Trace-cache event counters. Like [`ICacheStats`] these live outside
@@ -206,25 +214,27 @@ fn build_trace(
                 cont = Some(target);
             }
         }
-        elems.push(TraceElem { pc, pred, flags, op });
+        elems.push(TraceElem { pc, pred, alt: NO_ELEM, flags, op });
         match cont {
             Some(target) => pc = target,
             None => break,
         }
     }
-    if elems.is_empty() {
-        return None;
+    // Resolve in-trace successors once, here, so dispatch re-enters by a
+    // stored index instead of searching the trace at every transition.
+    let wrap = index_of(&elems, elems.last()?.pred);
+    for i in 0..elems.len() {
+        if let PredInst::Jcc { taken, fall, .. } = elems[i].op {
+            let other = if elems[i].pred == taken { fall } else { taken };
+            elems[i].alt = index_of(&elems, other);
+        }
     }
-    let mut by_pc: Vec<(u64, u32)> =
-        elems.iter().enumerate().map(|(i, e)| (e.pc, i as u32)).collect();
-    by_pc.sort_unstable_by_key(|&(p, _)| p);
-    Some(Trace {
-        entry,
-        page,
-        gen,
-        elems: elems.into_boxed_slice(),
-        by_pc: by_pc.into_boxed_slice(),
-    })
+    Some(Trace { entry, page, gen, elems: elems.into_boxed_slice(), wrap })
+}
+
+/// The index of the element at `pc`, or [`NO_ELEM`] when none is.
+fn index_of(elems: &[TraceElem], pc: u64) -> u32 {
+    elems.iter().position(|e| e.pc == pc).map_or(NO_ELEM, |i| i as u32)
 }
 
 /// Local (non-atomic) icache event counters. These live outside
@@ -278,8 +288,10 @@ pub struct ICache {
     /// Event counters (reported to telemetry by the VM at run exit).
     pub stats: ICacheStats,
     /// Live traces, keyed by the arena ids the page slots hold. `None`
-    /// slots are free (recycled through `free_ids`).
-    traces: Vec<Option<Arc<Trace>>>,
+    /// slots are free (recycled through `free_ids`). Traces are formed and
+    /// killed only between trace runs, so dispatch borrows a trace here
+    /// for the length of one run instead of holding a shared handle.
+    traces: Vec<Option<Trace>>,
     /// Recycled arena ids.
     free_ids: Vec<u32>,
     /// Per-page direct-mapped index over every element address of every
@@ -351,32 +363,31 @@ impl ICache {
         }
     }
 
-    /// Looks up a live trace covering `pc` (at its entry or mid-trace),
-    /// enforcing coherence: a trace whose page stamp trails the current
-    /// code-write generation is killed and the lookup misses.
+    /// Looks up a live trace covering `pc` (at its entry or mid-trace) and
+    /// returns its arena id and the element index holding `pc`, enforcing
+    /// coherence: a trace whose page stamp trails the current code-write
+    /// generation is killed and the lookup misses.
     #[inline]
-    pub(crate) fn lookup_trace(&mut self, pc: u64, mem: &Memory) -> Option<(Arc<Trace>, usize)> {
+    pub(crate) fn lookup_trace(&mut self, pc: u64, mem: &Memory) -> Option<(u32, usize)> {
         let off = pc.checked_sub(self.base)? as usize;
         let (id, idx) = *self.trace_pages.get(off / PAGE)?.as_ref()?.get(off % PAGE)?;
         if id == NO_TRACE {
             return None;
         }
-        let trace = self.traces[id as usize].as_ref().expect("indexed ids are live");
+        let trace = self.trace(id);
         debug_assert_eq!(trace.elems[idx as usize].pc, pc);
-        let (page, gen) = (trace.page, trace.gen);
-        let trace = Arc::clone(trace);
-        if !mem.stamp_current(page, gen) {
-            self.kill_id(id);
+        if !mem.stamp_current(trace.page, trace.gen) {
+            self.kill(id);
             return None;
         }
-        Some((trace, idx as usize))
+        Some((id, idx as usize))
     }
 
     /// Forms (and registers) a trace at `entry` on demand, decoding through
     /// the per-instruction cache — a decode served from a cached entry
     /// counts a hit, a fresh decode fills the cache, exactly like the
-    /// single-step miss path.
-    pub(crate) fn form_trace(&mut self, entry: u64, mem: &Memory) -> Option<Arc<Trace>> {
+    /// single-step miss path. Returns the new trace's arena id.
+    pub(crate) fn form_trace(&mut self, entry: u64, mem: &Memory) -> Option<u32> {
         let trace = build_trace(entry, mem, &mut |pc| {
             if let Some(hit) = self.lookup(pc, mem) {
                 return Some(hit);
@@ -393,6 +404,21 @@ impl ICache {
         Some(self.insert_trace(trace))
     }
 
+    /// The live trace with arena id `id`.
+    #[inline]
+    pub(crate) fn trace(&self, id: u32) -> &Trace {
+        self.traces[id as usize].as_ref().expect("indexed ids are live")
+    }
+
+    /// Borrows live trace `id` together with the trace counters — disjoint
+    /// fields — so dispatch can run the trace and count its transitions
+    /// without copying or sharing it.
+    #[inline]
+    pub(crate) fn trace_and_stats(&mut self, id: u32) -> (&Trace, &mut TraceStats) {
+        let trace = self.traces[id as usize].as_ref().expect("indexed ids are live");
+        (trace, &mut self.trace_stats)
+    }
+
     /// Forms traces at install time: a greedy cover over the verifier's
     /// disassembly, one trace per instruction address not already inside a
     /// live trace. Decodes come exclusively from `entries` (the same
@@ -405,14 +431,14 @@ impl ICache {
         mem: &Memory,
         entries: &[(u64, Inst, u8)],
     ) -> Vec<usize> {
-        let by_pc: HashMap<u64, (Inst, u8)> =
+        let decoded: HashMap<u64, (Inst, u8)> =
             entries.iter().map(|&(pc, inst, len)| (pc, (inst, len))).collect();
         let mut lens = Vec::new();
         for &(pc, _, _) in entries {
             if self.slot(pc).is_some_and(|&(id, _)| id != NO_TRACE) {
                 continue;
             }
-            let trace = build_trace(pc, mem, &mut |p| by_pc.get(&p).copied());
+            let trace = build_trace(pc, mem, &mut |p| decoded.get(&p).copied());
             if let Some(trace) = trace {
                 lens.push(trace.elems.len());
                 self.trace_stats.prewarmed += 1;
@@ -422,26 +448,11 @@ impl ICache {
         lens
     }
 
-    /// Removes the trace whose entry address is `entry` (and every index
-    /// slot pointing at it), counting one invalidation. No-op if `entry`
-    /// is not a live trace's entry.
-    pub(crate) fn kill_trace(&mut self, entry: u64) {
-        // The entry slot is authoritative (`insert_trace` overwrites it),
-        // so it resolves the arena id when the trace is live.
-        if let Some(&(id, idx)) = self.slot(entry) {
-            if id != NO_TRACE
-                && idx == 0
-                && self.traces[id as usize].as_ref().is_some_and(|t| t.entry == entry)
-            {
-                self.kill_id(id);
-            }
-        }
-    }
-
-    /// Removes arena trace `id`, clearing exactly the index slots it owns.
-    fn kill_id(&mut self, id: u32) {
+    /// Removes live trace `id`, clearing exactly the index slots it owns,
+    /// and counts one invalidation.
+    pub(crate) fn kill(&mut self, id: u32) {
         let trace = self.traces[id as usize].take().expect("killing a live id");
-        for elem in &trace.elems {
+        for elem in trace.elems.iter() {
             if let Some(slot) = self.slot_mut(elem.pc) {
                 if slot.0 == id {
                     *slot = (NO_TRACE, 0);
@@ -450,6 +461,44 @@ impl ICache {
         }
         self.free_ids.push(id);
         self.trace_stats.invalidated += 1;
+    }
+
+    /// Checks every live trace's formation-time successor indices against
+    /// its own elements: a speculated `Jcc`'s `alt` addresses the element
+    /// at its non-predicted successor, every other element's `alt` is
+    /// empty, and `wrap` addresses the element at the last element's
+    /// predicted successor — each index empty exactly when no element
+    /// holds that address. Returns how many traces were checked.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first index that breaks the rule.
+    pub fn audit_successor_indices(&self) -> Result<usize, String> {
+        let mut checked = 0;
+        for trace in self.traces.iter().flatten() {
+            let elems = &trace.elems;
+            let holds = |index: u32, target: u64| match elems.iter().position(|e| e.pc == target) {
+                Some(i) => index as usize == i,
+                None => index == NO_ELEM,
+            };
+            for (i, e) in elems.iter().enumerate() {
+                let ok = match e.op {
+                    PredInst::Jcc { taken, fall, .. } if e.flags & CHECK_PC != 0 => {
+                        holds(e.alt, if e.pred == taken { fall } else { taken })
+                    }
+                    _ => e.alt == NO_ELEM,
+                };
+                if !ok {
+                    return Err(format!("trace {:#x}: element {i} has alt {}", trace.entry, e.alt));
+                }
+            }
+            let last = elems.last().ok_or_else(|| format!("trace {:#x} is empty", trace.entry))?;
+            if !holds(trace.wrap, last.pred) {
+                return Err(format!("trace {:#x}: wrap {}", trace.entry, trace.wrap));
+            }
+            checked += 1;
+        }
+        Ok(checked)
     }
 
     /// The direct-mapped index slot for `pc`, if its page is materialised.
@@ -465,19 +514,13 @@ impl ICache {
         self.trace_pages.get_mut(off / PAGE)?.as_mut()?.get_mut(off % PAGE)
     }
 
-    fn insert_trace(&mut self, trace: Trace) -> Arc<Trace> {
-        debug_assert!(
-            !self.traces.iter().flatten().any(|t| t.entry == trace.entry && t.page == trace.page),
-            "insert over a live trace with the same entry"
-        );
-        let trace = Arc::new(trace);
+    /// Registers `trace` and indexes its elements. Callers form traces only
+    /// where no live trace covers the entry, so the entry slot is free.
+    fn insert_trace(&mut self, trace: Trace) -> u32 {
         let id = match self.free_ids.pop() {
-            Some(id) => {
-                self.traces[id as usize] = Some(Arc::clone(&trace));
-                id
-            }
+            Some(id) => id,
             None => {
-                self.traces.push(Some(Arc::clone(&trace)));
+                self.traces.push(None);
                 (self.traces.len() - 1) as u32
             }
         };
@@ -486,20 +529,18 @@ impl ICache {
         let slots = self.trace_pages[page]
             .get_or_insert_with(|| vec![(NO_TRACE, 0); PAGE].into_boxed_slice());
         let page_base = self.base + (page as u64) * PAGE_SIZE;
+        debug_assert_eq!(slots[(trace.entry - page_base) as usize].0, NO_TRACE);
         for (i, elem) in trace.elems.iter().enumerate() {
-            let off = (elem.pc - page_base) as usize;
-            if i == 0 {
-                // The entry mapping is authoritative (see kill_trace's
-                // resolution of entry → arena id).
-                slots[off] = (id, 0);
-            } else if slots[off].0 == NO_TRACE {
-                // Overlapping traces may share interior addresses; first
-                // owner wins — both decode identically under the same
-                // generation, so either dispatch is correct.
-                slots[off] = (id, i as u32);
+            let slot = &mut slots[(elem.pc - page_base) as usize];
+            // Overlapping traces may share interior addresses; first owner
+            // wins — both decode identically under the same generation, so
+            // either dispatch is correct.
+            if slot.0 == NO_TRACE {
+                *slot = (id, i as u32);
             }
         }
-        trace
+        self.traces[id as usize] = Some(trace);
+        id
     }
 
     fn insert(&mut self, pc: u64, inst: Inst, len: u8, mem: &Memory) -> bool {
@@ -625,7 +666,8 @@ mod tests {
         let lens = ic.prewarm_traces(&m, &entries);
         assert_eq!(lens, vec![3], "one trace covers all three instructions");
         assert_eq!(ic.trace_stats.prewarmed, 1);
-        let (t, idx) = ic.lookup_trace(base, &m).expect("entry lookup");
+        let (id, idx) = ic.lookup_trace(base, &m).expect("entry lookup");
+        let t = ic.trace(id);
         assert_eq!((t.elems.len(), idx), (3, 0));
         assert_eq!(t.elems[2].flags & END, END, "ret ends the trace");
         // Mid-trace entry through the index (AEX block boundaries need it).
@@ -646,12 +688,41 @@ mod tests {
             (base + 10, Inst::Jcc { cc: CondCode::Ne, rel: -16 }, 6),
         ];
         ic.prewarm_traces(&m, &entries);
-        let (t, _) = ic.lookup_trace(base, &m).expect("loop trace");
+        let (id, _) = ic.lookup_trace(base, &m).expect("loop trace");
+        let t = ic.trace(id);
         // The walk stops when the predicted successor closes the cycle.
         assert_eq!(t.elems.len(), 2);
         let jcc = &t.elems[1];
         assert_eq!(jcc.flags & CHECK_PC, CHECK_PC);
         assert_eq!(jcc.pred, base, "backward branch predicts taken");
+        // Falling off the end wraps onto the entry; the fallthrough past
+        // the loop is outside the trace, so a mispredict side-exits.
+        assert_eq!(t.wrap, 0);
+        assert_eq!(jcc.alt, NO_ELEM);
+    }
+
+    #[test]
+    fn forward_jcc_re_enters_at_its_alt_index_and_the_loop_wraps() {
+        use deflection_isa::{CondCode, Reg};
+        let m = mem();
+        let base = m.layout().code.start;
+        let mut ic = ICache::new(&m);
+        // jcc +10 (len 6; forward, so predicted not-taken) over a mov
+        // (len 10) onto a jmp (len 5) back to the jcc: a diamond whose
+        // taken arm and loop head both lie inside the one trace.
+        let entries = [
+            (base, Inst::Jcc { cc: CondCode::E, rel: 10 }, 6u8),
+            (base + 6, Inst::MovRI { dst: Reg::RAX, imm: 1 }, 10),
+            (base + 16, Inst::Jmp { rel: -21 }, 5),
+        ];
+        assert_eq!(ic.prewarm_traces(&m, &entries), vec![3]);
+        let (id, _) = ic.lookup_trace(base, &m).expect("diamond trace");
+        let t = ic.trace(id);
+        assert_eq!(t.elems[0].pred, base + 6, "forward branch predicts not-taken");
+        assert_eq!(t.elems[0].alt, 2, "the taken arm re-enters at the jmp");
+        assert_eq!((t.elems[1].alt, t.elems[2].alt), (NO_ELEM, NO_ELEM));
+        assert_eq!(t.wrap, 0, "the jmp's target is the entry");
+        assert_eq!(ic.audit_successor_indices(), Ok(1));
     }
 
     #[test]
@@ -691,8 +762,8 @@ mod tests {
         let lens = ic.prewarm_traces(&m, &entries);
         // Two single-page traces: [.., page end) and [next page, ..).
         assert_eq!(lens, vec![2, 2]);
-        let (t, _) = ic.lookup_trace(start, &m).expect("first-page trace");
-        assert_eq!(t.elems.len(), 2);
+        let (id, _) = ic.lookup_trace(start, &m).expect("first-page trace");
+        assert_eq!(ic.trace(id).elems.len(), 2);
     }
 
     #[test]

@@ -4,12 +4,11 @@
 
 use crate::aex::AexInjector;
 use crate::cpu::{Cpu, StepEvent};
-use crate::icache::{ICache, ICacheStats, Trace, TraceStats, CHECK_GEN, CHECK_PC, END};
+use crate::icache::{ICache, ICacheStats, Trace, TraceStats, CHECK_GEN, CHECK_PC, END, NO_ELEM};
 use crate::mem::Memory;
 use crate::Fault;
 use deflection_isa::{Inst, Reg};
 use deflection_telemetry::{LocalHistogram, METRICS};
-use std::sync::Arc;
 
 /// Host services the running enclave can reach.
 ///
@@ -246,13 +245,6 @@ impl Vm {
         self.sample_due = self.stats.instructions.saturating_add(self.sample_interval);
     }
 
-    /// Records `pc` into a heatmap vector, respecting the cap.
-    fn profile_heat(v: &mut Vec<u64>, pc: u64) {
-        if v.len() < PROFILE_HEATMAP_CAP {
-            v.push(pc);
-        }
-    }
-
     /// Replaces the AEX injector.
     pub fn set_aex(&mut self, aex: AexInjector) {
         self.aex = aex;
@@ -296,6 +288,16 @@ impl Vm {
             local.observe(len as u64);
         }
         METRICS.vm_trace_len.merge(&local);
+    }
+
+    /// Checks the successor indices of every live trace (see
+    /// [`ICache::audit_successor_indices`]); returns how many were checked.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first index that addresses the wrong element.
+    pub fn audit_trace_indices(&self) -> Result<usize, String> {
+        self.icache.audit_successor_indices()
     }
 
     /// Runs until halt, abort, fault or fuel exhaustion.
@@ -364,17 +366,17 @@ impl Vm {
                 }
                 let allow = budget.min(self.sample_due.saturating_sub(self.stats.instructions));
                 let found = self.icache.lookup_trace(self.cpu.pc, &self.mem);
-                let (trace, idx) = match found {
-                    Some((trace, idx)) => {
+                let (id, idx) = match found {
+                    Some((id, idx)) => {
                         if completed {
                             self.icache.trace_stats.chained += 1;
                         }
-                        (trace, idx)
+                        (id, idx)
                     }
                     None => match self.icache.form_trace(self.cpu.pc, &self.mem) {
-                        Some(trace) => {
-                            self.trace_lens.observe(trace.elems.len() as u64);
-                            (trace, 0)
+                        Some(id) => {
+                            self.trace_lens.observe(self.icache.trace(id).elems.len() as u64);
+                            (id, 0)
                         }
                         None => {
                             // Straddling or undecodable entry: single-step
@@ -390,14 +392,16 @@ impl Vm {
                                 }
                                 None => self.step_on_miss(),
                             };
-                            if let Some(exit) = self.dispatch_event(event, host) {
+                            if let Some(exit) = self.hart().dispatch_event(event, host) {
                                 return exit;
                             }
                             continue;
                         }
                     },
                 };
-                let (executed, end) = self.run_trace(&trace, idx, allow, host);
+                let (mut hart, icache) = self.split();
+                let (trace, trace_stats) = icache.trace_and_stats(id);
+                let (executed, end) = hart.run_trace(trace, trace_stats, idx, allow, host);
                 budget -= executed;
                 match end {
                     TraceEnd::Exit(exit) => return exit,
@@ -405,12 +409,12 @@ impl Vm {
                     TraceEnd::SideExit => {
                         self.icache.trace_stats.side_exits += 1;
                         if self.sample_due != u64::MAX {
-                            Self::profile_heat(&mut self.profile.side_exit_pcs, self.cpu.pc);
+                            profile_heat(&mut self.profile.side_exit_pcs, self.cpu.pc);
                         }
                         completed = false;
                     }
                     TraceEnd::Killed => {
-                        self.icache.kill_trace(trace.entry);
+                        self.icache.kill(id);
                         completed = false;
                     }
                     TraceEnd::Budget => completed = false,
@@ -421,78 +425,22 @@ impl Vm {
         RunExit::OutOfFuel
     }
 
-    /// Executes up to `budget` elements of `trace` starting at `idx`,
-    /// returning how many instructions ran and why the trace ended.
-    fn run_trace(
-        &mut self,
-        trace: &Arc<Trace>,
-        mut idx: usize,
-        budget: u64,
-        host: &mut dyn VmHost,
-    ) -> (u64, TraceEnd) {
-        let elems = &trace.elems;
-        // The architectural instruction counter is flushed at every exit
-        // from this loop rather than bumped per element — nothing inside
-        // the loop observes it (hosts see only `Cpu`/`Memory`).
-        let base = self.stats.instructions;
-        let mut executed = 0u64;
-        let end = 'run: loop {
-            if executed >= budget {
-                break 'run TraceEnd::Budget;
-            }
-            let elem = &elems[idx];
-            debug_assert_eq!(self.cpu.pc, elem.pc, "trace dispatch invariant");
-            executed += 1;
-            let event = self.cpu.execute_pred(&elem.op, &mut self.mem);
-            if !matches!(event, Ok(StepEvent::Continue)) {
-                self.stats.instructions = base + executed;
-                if let Some(exit) = self.dispatch_event(event, host) {
-                    break 'run TraceEnd::Exit(exit);
-                }
-            }
-            let flags = elem.flags;
-            if flags != 0 {
-                if flags & CHECK_GEN != 0 && !self.mem.stamp_current(trace.page, trace.gen) {
-                    break 'run TraceEnd::Killed;
-                }
-                if flags & END != 0 {
-                    break 'run TraceEnd::Completed;
-                }
-                if flags & CHECK_PC != 0 && self.cpu.pc != elem.pred {
-                    // In-trace recovery: a mispredicted branch whose real
-                    // target lies inside this very trace (the common loop
-                    // diamond) re-enters by local search instead of
-                    // bouncing through the dispatcher's lookup.
-                    if let Some(j) = trace.find(self.cpu.pc) {
-                        self.icache.trace_stats.side_exits += 1;
-                        if self.sample_due != u64::MAX {
-                            Self::profile_heat(&mut self.profile.side_exit_pcs, self.cpu.pc);
-                        }
-                        idx = j;
-                        continue;
-                    }
-                    break 'run TraceEnd::SideExit;
-                }
-            }
-            idx += 1;
-            if idx == elems.len() {
-                // The walk ended mid-flow (length bound or a cycle closing
-                // back into the trace): chain in place when the successor
-                // is one of our own elements — the entry wrap (a loop body
-                // that is exactly this trace) is the hot case.
-                if self.cpu.pc == trace.entry {
-                    idx = 0;
-                    self.icache.trace_stats.chained += 1;
-                } else if let Some(j) = trace.find(self.cpu.pc) {
-                    idx = j;
-                    self.icache.trace_stats.chained += 1;
-                } else {
-                    break 'run TraceEnd::Completed;
-                }
-            }
+    /// Every field a run step touches, borrowed apart from the icache.
+    fn hart(&mut self) -> Hart<'_> {
+        self.split().0
+    }
+
+    /// Splits the VM into the run-step state and the icache, so a trace
+    /// borrowed from the icache's arena stays live while it runs.
+    fn split(&mut self) -> (Hart<'_>, &mut ICache) {
+        let hart = Hart {
+            cpu: &mut self.cpu,
+            mem: &mut self.mem,
+            stats: &mut self.stats,
+            profile: &mut self.profile,
+            profiling: self.sample_due != u64::MAX,
         };
-        self.stats.instructions = base + executed;
-        (executed, end)
+        (hart, &mut self.icache)
     }
 
     /// Decode slow path: fetch + decode once, fill the cache, execute.
@@ -517,11 +465,107 @@ impl Vm {
                 self.stats.aex_injected += 1;
             }
             let event = self.cpu.step(&mut self.mem);
-            if let Some(exit) = self.dispatch_event(event, host) {
+            if let Some(exit) = self.hart().dispatch_event(event, host) {
                 return exit;
             }
         }
         RunExit::OutOfFuel
+    }
+}
+
+/// Records `pc` into a heatmap vector, respecting the cap.
+fn profile_heat(v: &mut Vec<u64>, pc: u64) {
+    if v.len() < PROFILE_HEATMAP_CAP {
+        v.push(pc);
+    }
+}
+
+/// The run-step view of a [`Vm`]: every field an executed instruction or
+/// its host service touches — everything but the icache — borrowed apart,
+/// so a trace borrowed from the icache's arena stays live across the run
+/// with no handle to clone or drop per transition.
+struct Hart<'a> {
+    cpu: &'a mut Cpu,
+    mem: &'a mut Memory,
+    stats: &'a mut ExecStats,
+    profile: &'a mut VmProfile,
+    /// Whether the sampling profiler is on (its heatmaps record).
+    profiling: bool,
+}
+
+impl Hart<'_> {
+    /// Executes up to `budget` elements of `trace` starting at `idx`,
+    /// returning how many instructions ran and why the trace ended.
+    fn run_trace(
+        &mut self,
+        trace: &Trace,
+        trace_stats: &mut TraceStats,
+        mut idx: usize,
+        budget: u64,
+        host: &mut dyn VmHost,
+    ) -> (u64, TraceEnd) {
+        let elems = &trace.elems;
+        // The architectural instruction counter is flushed at every exit
+        // from this loop rather than bumped per element — nothing inside
+        // the loop observes it (hosts see only `Cpu`/`Memory`).
+        let base = self.stats.instructions;
+        let mut executed = 0u64;
+        let end = 'run: loop {
+            if executed >= budget {
+                break 'run TraceEnd::Budget;
+            }
+            let elem = &elems[idx];
+            debug_assert_eq!(self.cpu.pc, elem.pc, "trace dispatch invariant");
+            executed += 1;
+            let event = self.cpu.execute_pred(&elem.op, self.mem);
+            if !matches!(event, Ok(StepEvent::Continue)) {
+                self.stats.instructions = base + executed;
+                if let Some(exit) = self.dispatch_event(event, host) {
+                    break 'run TraceEnd::Exit(exit);
+                }
+            }
+            let flags = elem.flags;
+            if flags != 0 {
+                if flags & CHECK_GEN != 0 && !self.mem.stamp_current(trace.page, trace.gen) {
+                    break 'run TraceEnd::Killed;
+                }
+                if flags & END != 0 {
+                    break 'run TraceEnd::Completed;
+                }
+                if flags & CHECK_PC != 0 && self.cpu.pc != elem.pred {
+                    // In-trace recovery: a mispredicted branch whose other
+                    // successor lies inside this very trace (the common
+                    // loop diamond) re-enters at the index formation
+                    // stored for it instead of bouncing through the
+                    // dispatcher's lookup. Only a `Jcc` has one; any other
+                    // mismatch (a host moving pc) side-exits.
+                    if elem.alt == NO_ELEM {
+                        break 'run TraceEnd::SideExit;
+                    }
+                    trace_stats.side_exits += 1;
+                    if self.profiling {
+                        profile_heat(&mut self.profile.side_exit_pcs, self.cpu.pc);
+                    }
+                    idx = elem.alt as usize;
+                    continue;
+                }
+            }
+            idx += 1;
+            if idx == elems.len() {
+                // The walk ended mid-flow (length bound or a cycle closing
+                // back into the trace): chain in place when the last
+                // element's successor is one of our own elements — the
+                // entry wrap (a loop body that is exactly this trace) is
+                // the hot case.
+                if trace.wrap == NO_ELEM {
+                    break 'run TraceEnd::Completed;
+                }
+                idx = trace.wrap as usize;
+                trace_stats.chained += 1;
+            }
+        };
+        self.stats.instructions = base + executed;
+        (executed, end)
     }
 
     /// Folds one step outcome into counters and host service; `Some` means
@@ -535,14 +579,14 @@ impl Vm {
             Ok(StepEvent::Continue) => None,
             Ok(StepEvent::Halted) => Some(RunExit::Halted { exit: self.cpu.get(Reg::RAX) }),
             Ok(StepEvent::PolicyAbort(code)) => {
-                if self.sample_due != u64::MAX {
-                    Self::profile_heat(&mut self.profile.guard_trip_pcs, self.cpu.pc);
+                if self.profiling {
+                    profile_heat(&mut self.profile.guard_trip_pcs, self.cpu.pc);
                 }
                 Some(RunExit::PolicyAbort { code })
             }
             Ok(StepEvent::Ocall(code)) => {
                 self.stats.ocalls += 1;
-                match host.ocall(code, &mut self.cpu, &mut self.mem) {
+                match host.ocall(code, self.cpu, self.mem) {
                     Ok(()) => None,
                     Err(f) => Some(RunExit::Fault(f)),
                 }
@@ -554,8 +598,8 @@ impl Vm {
                 None
             }
             Err(f) => {
-                if self.sample_due != u64::MAX {
-                    Self::profile_heat(&mut self.profile.guard_trip_pcs, self.cpu.pc);
+                if self.profiling {
+                    profile_heat(&mut self.profile.guard_trip_pcs, self.cpu.pc);
                 }
                 Some(RunExit::Fault(f))
             }

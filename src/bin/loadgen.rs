@@ -7,13 +7,19 @@
 //! Drives the six-tenant mixed workload (https, credit, genome seqgen, two
 //! nBench kernels, the stateful KV session) through the real
 //! [`AdmissionFrontend`] → [`EnclavePool`] path on a 1-worker pool, with
-//! the dispatcher on its own thread, in three phases of [`PHASE`] requests:
+//! the dispatcher on its own thread, in four phases of [`PHASE`] requests:
 //!
 //! 1. **Capacity** — a saturated phase keeps the queue at its high water
 //!    while the worker serves, so each batch is queued before the last one
 //!    ends; capacity is that phase's own completion rate.
-//! 2. **Half load** — open-loop Poisson arrivals at ½× capacity.
-//! 3. **Overload** — open-loop Poisson arrivals at 2× capacity.
+//! 2. **Half load** — open-loop Poisson arrivals at ½× that capacity.
+//! 3. **Capacity** again, saturated, so a host that changed speed during
+//!    the half-load phase does not skew the next one.
+//! 4. **Overload** — open-loop Poisson arrivals at 2× the fresh capacity.
+//!
+//! Each open-loop phase prints its offered rate beside the rate at which
+//! it actually completed requests, so an "overload" that the worker
+//! nearly kept up with shows as such.
 //!
 //! Latency runs from each request's scheduled send time to its verdict.
 //! Exits 1 unless the overload phase sheds (`Overloaded` > 0) and its p99
@@ -62,6 +68,8 @@ fn usage() -> ExitCode {
 /// What one open-loop phase saw.
 struct Phase {
     served: usize,
+    /// Completions per second, from the phase's start to its last verdict.
+    served_per_s: f64,
     shed: usize,
     p50_ms: f64,
     p99_ms: f64,
@@ -116,15 +124,18 @@ fn open_loop(
 ) -> Phase {
     let mut drbg = HmacDrbg::new(&seed.to_le_bytes());
     let (tx, rx) = mpsc::channel::<(Ticket, Instant)>();
+    let start = Instant::now();
     let collector = thread::spawn(move || {
-        rx.into_iter()
+        let latencies = rx
+            .into_iter()
             .map(|(ticket, scheduled)| {
                 ticket.wait().expect("mixed request serves");
                 scheduled.elapsed()
             })
-            .collect::<Vec<Duration>>()
+            .collect::<Vec<Duration>>();
+        (latencies, start.elapsed())
     });
-    let mut scheduled = Instant::now();
+    let mut scheduled = start;
     let mut shed = 0;
     for k in 0..PHASE {
         scheduled += Duration::from_secs_f64(-(1.0 - drbg.next_f64()).ln() / rate);
@@ -137,10 +148,16 @@ fn open_loop(
         }
     }
     drop(tx);
-    let mut latencies = collector.join().expect("collector thread");
+    let (mut latencies, elapsed) = collector.join().expect("collector thread");
     latencies.sort_unstable();
     let pct = |p: usize| latencies[(latencies.len() - 1) * p / 100].as_secs_f64() * 1e3;
-    Phase { served: latencies.len(), shed, p50_ms: pct(50), p99_ms: pct(99) }
+    Phase {
+        served: latencies.len(),
+        served_per_s: latencies.len() as f64 / elapsed.as_secs_f64(),
+        shed,
+        p50_ms: pct(50),
+        p99_ms: pct(99),
+    }
 }
 
 fn main() -> ExitCode {
@@ -169,27 +186,30 @@ fn main() -> ExitCode {
     };
     let (fe, tenants) = frontend(&r, config);
     let (pool, requests) = (&mut r.pool, &r.requests);
-    let (cap, half, over) = thread::scope(|s| {
+    let [half, over] = thread::scope(|s| {
         let dispatcher = s.spawn(|| fe.run_dispatcher(pool, FUEL));
-        let cap = capacity(&fe, &tenants, requests);
-        println!("  capacity  {cap:>7.1} /s  (saturated, queue at high water {HIGH_WATER})");
-        let half = open_loop(&fe, &tenants, requests, cap / 2.0, SEED);
-        let over = open_loop(&fe, &tenants, requests, cap * 2.0, SEED + 1);
+        let phases =
+            [("half load", 0.5, SEED), ("overload", 2.0, SEED + 1)].map(|(label, load, seed)| {
+                let cap = capacity(&fe, &tenants, requests);
+                let offered = cap * load;
+                let p = open_loop(&fe, &tenants, requests, offered, seed);
+                println!(
+                    "  {label:<9} capacity {cap:>7.1} /s (saturated, queue at high water \
+                     {HIGH_WATER}), offered {offered:>7.1} /s, served {:>7.1} /s: {} served, \
+                     {} shed ({:.1}%), p50 {:.2} ms, p99 {:.2} ms",
+                    p.served_per_s,
+                    p.served,
+                    p.shed,
+                    p.shed as f64 / PHASE as f64 * 100.0,
+                    p.p50_ms,
+                    p.p99_ms
+                );
+                p
+            });
         fe.close();
         dispatcher.join().expect("dispatcher thread");
-        (cap, half, over)
+        phases
     });
-    for (label, offered, p) in [("half load", cap / 2.0, &half), ("overload", cap * 2.0, &over)] {
-        println!(
-            "  {label:<9} {offered:>7.1} /s offered: {} served, {} shed ({:.1}%), \
-             p50 {:.2} ms, p99 {:.2} ms",
-            p.served,
-            p.shed,
-            p.shed as f64 / PHASE as f64 * 100.0,
-            p.p50_ms,
-            p.p99_ms
-        );
-    }
 
     if let Some(path) = metrics_out {
         let snapshot = Collector::snapshot();
