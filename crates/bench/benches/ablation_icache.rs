@@ -16,11 +16,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deflection_bench::measure_exec_mode;
+use deflection_bench::serving::serving_manifest;
 use deflection_core::policy::PolicySet;
-use deflection_sgx_sim::layout::MemConfig;
-use deflection_sgx_sim::vm::ExecMode;
+use deflection_core::producer::produce;
+use deflection_core::runtime::BootstrapEnclave;
+use deflection_sgx_sim::layout::{EnclaveLayout, MemConfig};
+use deflection_sgx_sim::vm::{ExecMode, RunExit};
 use deflection_telemetry::{Collector, METRICS};
-use deflection_workloads::nbench;
+use deflection_workloads::{nbench, server};
 use std::time::Duration;
 
 const SCALE: u32 = 3;
@@ -53,17 +56,21 @@ fn print_table() {
         let input = (kernel.input)(SCALE);
         // Telemetry probe: one instrumented traced run per kernel, to show
         // the trace layer is actually engaged (chained dispatches, no
-        // demand fills). The collector stays disabled during the timed
-        // samples below so they measure the production configuration.
+        // demand formations). The collector stays disabled during the
+        // timed samples below so they measure the production configuration.
         Collector::reset();
         Collector::enable();
         let probe = measure_exec_mode(&source, &input, &policy, &config, ExecMode::Traced);
         let chained = METRICS.vm_trace_chained.get();
-        let fills = METRICS.vm_icache_fills.get();
+        let formed = METRICS.vm_trace_formed.get();
         Collector::disable();
         Collector::reset();
         assert!(chained > 0, "{}: trace dispatch must chain traces", kernel.name);
-        assert_eq!(fills, 0, "{}: install pre-warm must leave no demand fills", kernel.name);
+        assert_eq!(
+            formed, 0,
+            "{}: the install-time cover must need no demand formation",
+            kernel.name
+        );
 
         // Interleave the modes so drift (thermal, allocator state) hits
         // both equally; discard one warm-up pair first.
@@ -122,13 +129,13 @@ fn bench(c: &mut Criterion) {
     // in both modes.
     let config = MemConfig::small();
     let policy = PolicySet::full();
+    let modes = [("traced", ExecMode::Traced), ("reference", ExecMode::Reference)];
     for kernel in nbench::all() {
         if kernel.name != "FP EMULATION" && kernel.name != "NUMERIC SORT" {
             continue;
         }
         let source = (kernel.source)();
         let input = (kernel.input)(1);
-        let modes = [("traced", ExecMode::Traced), ("reference", ExecMode::Reference)];
         for (label, mode) in modes {
             let id = format!("icache/{}/{label}", kernel.name.to_lowercase().replace(' ', "_"));
             let src = source.clone();
@@ -137,6 +144,31 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| measure_exec_mode(&src, &inp, &policy, &config, mode))
             });
         }
+    }
+    // The serving handler's VM cost: one https request on a resident
+    // instance, installed once, as the pool serves it — only the ECall's
+    // run is timed, not the install the kernel rows include. The instance
+    // is boxed, as the pool's are: on the stack its register file sat at
+    // an offset the kernel randomises per process, and the trace loop's
+    // time moved with that offset by up to 1.6x (EXPERIMENTS.md).
+    let manifest = serving_manifest();
+    let binary = produce(&server::source(), &manifest.policy).expect("https compiles").serialize();
+    let request = server::request(1, 2048);
+    for (label, mode) in modes {
+        let mut enclave =
+            Box::new(BootstrapEnclave::new(EnclaveLayout::new(config), manifest.clone()));
+        enclave.set_owner_session([0xBE; 32]);
+        enclave.install_plain(&binary).expect("https verifies");
+        enclave.set_exec_mode(mode);
+        let request = request.clone();
+        c.bench_function(&format!("icache/https_request/{label}"), move |b| {
+            b.iter(|| {
+                enclave.provide_input(&request).expect("installed");
+                let report = enclave.run(u64::MAX / 2).expect("installed");
+                assert!(matches!(report.exit, RunExit::Halted { .. }), "{:?}", report.exit);
+                report.records.len()
+            })
+        });
     }
 }
 

@@ -723,9 +723,9 @@ impl BootstrapEnclave {
     ///
     /// Every install path — fresh pipeline, `PreparedInstall` replay into
     /// pool workers and respawns, sealed import — funnels through here, so
-    /// pre-warming the VM's instruction cache at this single point means
-    /// they all start hot: the verifier already decoded the whole program,
-    /// and [`rewritten_insts`] predicts the post-rewrite stream exactly, so
+    /// forming the VM's trace cover at this single point means they all
+    /// start hot: the verifier already decoded the whole program, and
+    /// [`rewritten_insts`] predicts the post-rewrite stream exactly, so
     /// execution never pays for another decode pass.
     pub(crate) fn adopt(&mut self, mem: Memory, installed: Installed, io: Option<IoPlan>) {
         self.host.io = io;
@@ -746,11 +746,7 @@ impl BootstrapEnclave {
             .into_iter()
             .map(|(off, inst, len)| (code_base + off as u64, inst, len as u8))
             .collect();
-        vm.prewarm_icache(entries.iter().copied());
-        // Superblock traces form over the same patched disassembly, so a
-        // full-policy run needs neither demand fills nor demand formations.
         vm.prewarm_traces(&entries);
-        METRICS.vm_icache_prewarms.add(vm.icache_stats().prewarms);
         self.installed = Some(installed);
         self.vm = Some(vm);
     }
@@ -806,16 +802,6 @@ impl BootstrapEnclave {
     /// Panics if no binary is installed.
     pub fn set_exec_mode(&mut self, mode: deflection_sgx_sim::vm::ExecMode) {
         self.vm.as_mut().expect("binary installed").set_exec_mode(mode);
-    }
-
-    /// Icache event counters of the installed VM (diagnostics/benches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no binary is installed.
-    #[must_use]
-    pub fn icache_stats(&self) -> deflection_sgx_sim::icache::ICacheStats {
-        self.vm.as_ref().expect("binary installed").icache_stats()
     }
 
     /// Trace-cache event counters of the installed VM.
@@ -875,6 +861,7 @@ impl BootstrapEnclave {
         // The pending direct input is consumed by this run; the next
         // provide_input call refreshes the buffer.
         self.direct_input_pending = false;
+        let start = vm.stats.instructions;
         let exit = vm.run(fuel, &mut self.host);
         // Queued messages belong to this run's request: whatever it did not
         // `recv` must not reach the next request, whose input would
@@ -891,11 +878,13 @@ impl BootstrapEnclave {
         }
         // On-demand processing-time blurring (paper Section VII): idle until
         // the next quantum boundary before releasing any output, so the
-        // completion time no longer modulates a covert channel.
+        // completion time no longer modulates a covert channel. The pad is
+        // taken on this run's own count: the counter is cumulative across
+        // runs, and padding it would leak the earlier runs' cost.
         let mut blur_padding = 0;
         if let Some(q) = self.manifest.time_blur_quantum {
             if q > 0 {
-                let rem = stats.instructions % q;
+                let rem = (stats.instructions - start) % q;
                 if rem != 0 {
                     blur_padding = q - rem;
                     stats.instructions += blur_padding;
@@ -1221,6 +1210,50 @@ mod tests {
             counts.push(report.stats.instructions);
         }
         assert_eq!(counts[0], counts[1], "blurred completion times must match");
+    }
+
+    #[test]
+    fn time_blur_pads_each_run_of_a_long_lived_instance() {
+        // One instance serves a short or a long request, then the same
+        // request: that run's padded duration must not depend on which
+        // came before, although the instruction counter is cumulative.
+        let policy = PolicySet::p1();
+        let src = "
+            fn main() -> int {
+                var n: int = input_len();
+                var i: int = 0;
+                var s: int = 0;
+                while (i < n * 100) { s = s + i; i = i + 1; }
+                return s & 0xFF;
+            }
+        ";
+        let obj = produce(src, &policy).unwrap();
+        let mut manifest = Manifest::ccaas();
+        manifest.policy = policy;
+        let q = 1_000_000;
+        manifest.time_blur_quantum = Some(q);
+        let mut last_padded = Vec::new();
+        for first in [&b"ab"[..], &b"abcdefgh"[..]] {
+            let mut e =
+                BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest.clone());
+            e.set_owner_session([1; 32]);
+            e.install_plain(&obj.serialize()).unwrap();
+            let mut executed = 0;
+            let mut padded = 0;
+            for input in [first, &b"abcd"[..]] {
+                e.provide_input(input).unwrap();
+                let report = e.run(10_000_000).unwrap();
+                assert!(matches!(report.exit, RunExit::Halted { .. }));
+                // The report's count stays cumulative; its pad is this
+                // run's own.
+                let own = report.stats.instructions - report.blur_padding - executed;
+                executed += own;
+                padded = own + report.blur_padding;
+                assert_eq!(padded % q, 0, "each run pads its own count to the quantum");
+            }
+            last_padded.push(padded);
+        }
+        assert_eq!(last_padded[0], last_padded[1], "the padded run must not leak its history");
     }
 
     #[test]

@@ -19,6 +19,7 @@ impl Flags {
     /// Flags after comparing two signed/unsigned 64-bit values, with x86
     /// `cmp` semantics (`lhs - rhs`).
     #[must_use]
+    #[inline]
     pub fn from_cmp(lhs: u64, rhs: u64) -> Flags {
         let (res, borrow) = lhs.overflowing_sub(rhs);
         let signed_overflow = ((lhs ^ rhs) & (lhs ^ res)) >> 63 == 1;
@@ -40,6 +41,7 @@ impl Flags {
 
     /// Flags after a logical operation producing `result` (CF/OF cleared).
     #[must_use]
+    #[inline]
     pub fn from_logic(result: u64) -> Flags {
         Flags { zf: result == 0, sf: (result >> 63) == 1, cf: false, of: false }
     }
@@ -104,6 +106,7 @@ impl CondCode {
 
     /// Evaluates the condition against `flags`.
     #[must_use]
+    #[inline]
     pub fn eval(self, flags: Flags) -> bool {
         match self {
             CondCode::E => flags.zf,

@@ -52,6 +52,7 @@ impl Reg {
 
     /// Returns the 4-bit encoding of this register.
     #[must_use]
+    #[inline]
     pub const fn index(self) -> u8 {
         self as u8
     }

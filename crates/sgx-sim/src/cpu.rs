@@ -1,6 +1,13 @@
 //! The CPU interpreter: executes one instruction at a time against the
 //! simulated memory, with x86-64-style semantics for flags, stack
 //! operations and control flow.
+//!
+//! `Cpu::execute` is the one definition of instruction semantics. The
+//! reference [`Cpu::step`] and the VM's trace loop both run it, and it is
+//! `#[inline(always)]` (with `alu`, `push`, `pop` and [`Memory`]'s
+//! single-page load/store fast path) so a straight-line trace element
+//! executes with no call; faults and the rare memory cases stay out of
+//! line and `#[cold]` (see DESIGN.md §5f).
 
 use crate::mem::Memory;
 use crate::Fault;
@@ -45,8 +52,7 @@ pub enum PredInst {
 }
 
 /// Fetches and decodes the instruction at `pc` without executing it — the
-/// slow half of [`Cpu::step`], shared with the VM's icache miss path and
-/// trace formation so a miss decodes exactly once.
+/// decode half of [`Cpu::step`], shared with demand trace formation.
 pub(crate) fn fetch_decode_at(mem: &Memory, pc: u64) -> Result<(Inst, u8), Fault> {
     let window = mem.fetch_window(pc)?;
     let (inst, len) = decode(&window, 0).map_err(|e| {
@@ -54,6 +60,14 @@ pub(crate) fn fetch_decode_at(mem: &Memory, pc: u64) -> Result<(Inst, u8), Fault
     })?;
     debug_assert!(len <= 16);
     Ok((inst, len as u8))
+}
+
+/// The fault a divide by zero (or a signed `MIN / -1`) raises; out of line
+/// so the ALU's common path carries no fault construction.
+#[cold]
+#[inline(never)]
+fn divide_error(pc: u64) -> Fault {
+    Fault::DivideError { pc }
 }
 
 /// Architectural CPU state.
@@ -94,17 +108,20 @@ impl Cpu {
 
     /// Reads a register.
     #[must_use]
+    #[inline]
     pub fn get(&self, r: Reg) -> u64 {
         self.regs[r.index() as usize]
     }
 
     /// Writes a register.
+    #[inline]
     pub fn set(&mut self, r: Reg, v: u64) {
         self.regs[r.index() as usize] = v;
     }
 
     /// Computes the effective address of a memory operand.
     #[must_use]
+    #[inline]
     pub fn effective_address(&self, mem: &MemOperand) -> u64 {
         let mut addr = mem.disp as i64 as u64;
         if let Some(base) = mem.base {
@@ -124,17 +141,8 @@ impl Cpu {
     /// unmapped accesses and divide errors. On a fault `pc` still points at
     /// the faulting instruction.
     pub fn step(&mut self, mem: &mut Memory) -> Result<StepEvent, Fault> {
-        let (inst, len) = self.fetch_decode(mem)?;
-        let next = self.pc.wrapping_add(len as u64);
-        let event = self.execute(inst, next, mem)?;
-        Ok(event)
-    }
-
-    /// Fetches and decodes the instruction at `pc` without executing it —
-    /// the slow half of [`Cpu::step`], shared with the VM's icache miss
-    /// path so a miss decodes exactly once and fills the cache.
-    pub(crate) fn fetch_decode(&self, mem: &Memory) -> Result<(Inst, u8), Fault> {
-        fetch_decode_at(mem, self.pc)
+        let (inst, len) = fetch_decode_at(mem, self.pc)?;
+        self.execute(inst, self.pc.wrapping_add(len as u64), mem)
     }
 
     /// Executes one predecoded trace element. Must only be called when `pc`
@@ -147,7 +155,7 @@ impl Cpu {
     /// Same fault surface as [`Cpu::execute`]; on a fault `pc` still points
     /// at the faulting instruction (a faulting `Call` push propagates before
     /// `pc` is updated, exactly like the interpreted path).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn execute_pred(
         &mut self,
         op: &PredInst,
@@ -171,6 +179,7 @@ impl Cpu {
         }
     }
 
+    #[inline(always)]
     fn push(&mut self, value: u64, mem: &mut Memory) -> Result<(), Fault> {
         let rsp = self.get(Reg::RSP).wrapping_sub(8);
         mem.store(rsp, 8, value)?;
@@ -178,6 +187,7 @@ impl Cpu {
         Ok(())
     }
 
+    #[inline(always)]
     fn pop(&mut self, mem: &mut Memory) -> Result<u64, Fault> {
         let rsp = self.get(Reg::RSP);
         let v = mem.load(rsp, 8)?;
@@ -185,6 +195,7 @@ impl Cpu {
         Ok(v)
     }
 
+    #[inline(always)]
     fn alu(&mut self, op: AluOp, dst: Reg, rhs: u64) -> Result<(), Fault> {
         let lhs = self.get(dst);
         let result = match op {
@@ -235,7 +246,7 @@ impl Cpu {
             }
             AluOp::UDiv => {
                 if rhs == 0 {
-                    return Err(Fault::DivideError { pc: self.pc });
+                    return Err(divide_error(self.pc));
                 }
                 let r = lhs / rhs;
                 self.flags = Flags::from_logic(r);
@@ -244,7 +255,7 @@ impl Cpu {
             AluOp::SDiv => {
                 let (l, r64) = (lhs as i64, rhs as i64);
                 if r64 == 0 || (l == i64::MIN && r64 == -1) {
-                    return Err(Fault::DivideError { pc: self.pc });
+                    return Err(divide_error(self.pc));
                 }
                 let r = (l / r64) as u64;
                 self.flags = Flags::from_logic(r);
@@ -252,7 +263,7 @@ impl Cpu {
             }
             AluOp::URem => {
                 if rhs == 0 {
-                    return Err(Fault::DivideError { pc: self.pc });
+                    return Err(divide_error(self.pc));
                 }
                 let r = lhs % rhs;
                 self.flags = Flags::from_logic(r);
@@ -261,7 +272,7 @@ impl Cpu {
             AluOp::SRem => {
                 let (l, r64) = (lhs as i64, rhs as i64);
                 if r64 == 0 || (l == i64::MIN && r64 == -1) {
-                    return Err(Fault::DivideError { pc: self.pc });
+                    return Err(divide_error(self.pc));
                 }
                 let r = (l % r64) as u64;
                 self.flags = Flags::from_logic(r);
@@ -273,8 +284,9 @@ impl Cpu {
     }
 
     /// Executes an already-decoded instruction whose encoding ends at
-    /// `next`. Callers (the step path and the icache dispatch loop) must
-    /// pass the `(inst, next)` pair the bytes at `pc` currently decode to.
+    /// `next`. Callers (the step path and the trace loop) must pass the
+    /// `(inst, next)` pair the bytes at `pc` currently decode to.
+    #[inline(always)]
     pub(crate) fn execute(
         &mut self,
         inst: Inst,

@@ -1,30 +1,31 @@
-//! A software instruction cache with generation-based coherence.
+//! The VM's decoded form: superblock traces with generation-based
+//! coherence.
 //!
 //! Real x86 hardware decodes each instruction once into a decoded-µop/trace
 //! cache and *snoops stores* to keep it coherent with self-modifying code.
-//! This module gives the simulated machine the same structure: a dense
-//! per-page map from code offsets to predecoded `(Inst, len)` entries,
-//! filled on first fetch (or pre-warmed at install time from the verifier's
-//! own disassembly), and invalidated by comparing a per-page fill stamp
-//! against [`Memory`]'s monotonic code-write generation.
+//! This module gives the simulated machine the same structure: bounded
+//! runs of predecoded instructions, formed at install time from the
+//! verifier's own disassembly (or on demand, decoding from memory), each
+//! stamped with its page's code-write generation and killed when
+//! [`Memory`]'s stamp for that page moves on. Traces are the only decoded
+//! form the VM keeps; there is no separate per-instruction decode map.
 //!
 //! Coherence is load-bearing, not an optimisation nicety: the in-enclave
 //! rewriter patches immediates into the RWX code window *after*
 //! verification, and SGXv1 cannot stop the target from modifying its own
-//! code. A stale cached decode would execute instructions that no longer
-//! exist in memory — so any `store`/`poke_bytes`/permission change touching
-//! an executable page bumps the generation and the next lookup on that page
-//! misses and re-decodes (see `DESIGN.md` §5f).
+//! code. A stale trace would execute instructions that no longer exist in
+//! memory — so any `store`/`poke_bytes`/permission change touching an
+//! executable page bumps the generation and the next lookup on that page
+//! kills the trace and the dispatcher re-decodes (see `DESIGN.md` §5f).
 //!
-//! Instructions that straddle a page boundary are deliberately never
-//! cached: a single-page generation check could not prove their trailing
-//! bytes unchanged, so they always take the decode slow path instead.
+//! Instructions that straddle a page boundary never enter a trace: a
+//! single-page generation check could not prove their trailing bytes
+//! unchanged, so the dispatcher single-steps them from memory instead.
 //!
 //! # Superblock traces
 //!
-//! On top of the per-instruction map, the cache forms **superblock
-//! traces**: bounded runs of predecoded [`PredInst`] elements that follow
-//! fallthrough *and direct branches* (`Jmp` always, `Jcc` by
+//! A trace is a bounded run of predecoded [`PredInst`] elements that
+//! follows fallthrough *and direct branches* (`Jmp` always, `Jcc` by
 //! backward-taken/forward-not-taken speculation, `Call` into the callee),
 //! so the dispatch loop crosses direct control flow without re-entering
 //! the lookup path. A trace never crosses an executable-page boundary and
@@ -107,9 +108,10 @@ pub(crate) struct Trace {
     pub wrap: u32,
 }
 
-/// Trace-cache event counters. Like [`ICacheStats`] these live outside
-/// `ExecStats` so differential tests can require bit-identical execution
-/// counters across modes while trace behaviour legitimately differs.
+/// Trace-cache event counters. These live outside
+/// [`crate::vm::ExecStats`] on purpose: differential tests require
+/// bit-identical execution counters across dispatch modes, while trace
+/// behaviour legitimately differs between them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Traces formed on demand during dispatch.
@@ -173,8 +175,8 @@ fn classify(inst: Inst, next: u64) -> (PredInst, u64, u8, Option<u64>) {
 }
 
 /// Forms a trace starting at `entry`, pulling decodes from `fetch` (the
-/// demand path decodes from memory and fills the per-instruction cache;
-/// the prewarm path serves the verifier's disassembly). Returns `None`
+/// demand path decodes from memory; the prewarm path serves the verifier's
+/// disassembly). Returns `None`
 /// when not even the entry instruction is cacheable (out of ELRANGE,
 /// page-straddling, or undecodable) — callers fall back to single-step.
 fn build_trace(
@@ -237,56 +239,21 @@ fn index_of(elems: &[TraceElem], pc: u64) -> u32 {
     elems.iter().position(|e| e.pc == pc).map_or(NO_ELEM, |i| i as u32)
 }
 
-/// Local (non-atomic) icache event counters. These live outside
-/// [`crate::vm::ExecStats`] on purpose: differential tests assert cached and
-/// reference execution produce bit-identical `ExecStats`, while cache
-/// behaviour legitimately differs between the two modes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ICacheStats {
-    /// Lookups served from a cached decode.
-    pub hits: u64,
-    /// Entries inserted after a demand decode.
-    pub fills: u64,
-    /// Entries inserted from the verifier's disassembly at install time.
-    pub prewarms: u64,
-    /// Pages dropped on a code-write generation mismatch.
-    pub invalidations: u64,
-}
-
-/// One cached page of predecoded instructions, stamped with the code-write
-/// generation it was decoded against.
-#[derive(Debug)]
-struct CachedPage {
-    gen: u64,
-    /// Page-relative byte offset → predecoded entry. Dense so overlapping
-    /// decodes (a jump into the middle of an instruction) each get their
-    /// own slot, exactly like per-address decode in the reference path.
-    entries: Box<[Option<(Inst, u8)>]>,
-}
-
-impl CachedPage {
-    fn new(gen: u64) -> Self {
-        CachedPage { gen, entries: vec![None; PAGE].into_boxed_slice() }
-    }
-}
-
 /// Empty sentinel in a [`TracePage`] slot.
 const NO_TRACE: u32 = u32::MAX;
 
 /// Direct-mapped per-page trace index: page-relative byte offset →
 /// `(arena id, element index)`, [`NO_TRACE`] when no live trace covers the
-/// offset. Dense like [`CachedPage`] so the dispatch hot path is two array
-/// loads — no hashing — per trace transition.
+/// offset. Dense, so the dispatch hot path is two array loads — no
+/// hashing — per trace transition.
 type TracePage = Box<[(u32, u32)]>;
 
-/// The decode-once cache. Indexed by page within ELRANGE; pages allocate
-/// lazily on first fill, so cost scales with code actually executed.
+/// The trace cache. Its index is per page within ELRANGE; a page's slot
+/// array allocates when the first trace on it forms, so cost scales with
+/// code actually covered.
 #[derive(Debug)]
 pub struct ICache {
     base: u64,
-    pages: Vec<Option<CachedPage>>,
-    /// Event counters (reported to telemetry by the VM at run exit).
-    pub stats: ICacheStats,
     /// Live traces, keyed by the arena ids the page slots hold. `None`
     /// slots are free (recycled through `free_ids`). Traces are formed and
     /// killed only between trace runs, so dispatch borrows a trace here
@@ -308,58 +275,14 @@ impl ICache {
     #[must_use]
     pub fn new(mem: &Memory) -> Self {
         let pages = (mem.layout().elrange.len() / PAGE_SIZE) as usize;
-        let mut v = Vec::with_capacity(pages);
-        v.resize_with(pages, || None);
         let mut tp = Vec::with_capacity(pages);
         tp.resize_with(pages, || None);
         ICache {
             base: mem.layout().elrange.start,
-            pages: v,
-            stats: ICacheStats::default(),
             traces: Vec::new(),
             free_ids: Vec::new(),
             trace_pages: tp,
             trace_stats: TraceStats::default(),
-        }
-    }
-
-    /// Looks up a predecoded instruction at `pc`, enforcing coherence: a
-    /// page whose fill stamp trails `mem`'s code-write generation is dropped
-    /// and the lookup misses (the caller re-decodes from current bytes).
-    #[inline]
-    pub fn lookup(&mut self, pc: u64, mem: &Memory) -> Option<(Inst, u8)> {
-        let off = pc.checked_sub(self.base)? as usize;
-        let page = off / PAGE;
-        let slot = self.pages.get_mut(page)?;
-        let cached = slot.as_mut()?;
-        if cached.gen != mem.page_code_gen(page)? {
-            self.stats.invalidations += 1;
-            *slot = None;
-            return None;
-        }
-        let entry = cached.entries[off % PAGE];
-        if entry.is_some() {
-            self.stats.hits += 1;
-        }
-        entry
-    }
-
-    /// Inserts a freshly decoded instruction. No-op when the instruction
-    /// straddles a page boundary (see module docs) or `pc` is out of range.
-    pub fn fill(&mut self, pc: u64, inst: Inst, len: u8, mem: &Memory) {
-        if self.insert(pc, inst, len, mem) {
-            self.stats.fills += 1;
-        }
-    }
-
-    /// Pre-warms the cache from already-decoded instructions (the
-    /// verifier's disassembly, patched to post-rewrite immediates), so the
-    /// first run after `install` starts hot without a third decode pass.
-    pub fn prewarm(&mut self, mem: &Memory, entries: impl IntoIterator<Item = (u64, Inst, u8)>) {
-        for (pc, inst, len) in entries {
-            if self.insert(pc, inst, len, mem) {
-                self.stats.prewarms += 1;
-            }
         }
     }
 
@@ -383,23 +306,13 @@ impl ICache {
         Some((id, idx as usize))
     }
 
-    /// Forms (and registers) a trace at `entry` on demand, decoding through
-    /// the per-instruction cache — a decode served from a cached entry
-    /// counts a hit, a fresh decode fills the cache, exactly like the
-    /// single-step miss path. Returns the new trace's arena id.
+    /// Forms (and registers) a trace at `entry` on demand, decoding from
+    /// memory. Returns the new trace's arena id, or `None` when not even
+    /// the entry instruction can start a trace.
     pub(crate) fn form_trace(&mut self, entry: u64, mem: &Memory) -> Option<u32> {
-        let trace = build_trace(entry, mem, &mut |pc| {
-            if let Some(hit) = self.lookup(pc, mem) {
-                return Some(hit);
-            }
-            match crate::cpu::fetch_decode_at(mem, pc) {
-                Ok((inst, len)) => {
-                    self.fill(pc, inst, len, mem);
-                    Some((inst, len))
-                }
-                Err(_) => None, // the dispatcher's fallback step surfaces the fault
-            }
-        })?;
+        // A decode fault ends the walk; the dispatcher's single step
+        // surfaces it.
+        let trace = build_trace(entry, mem, &mut |pc| crate::cpu::fetch_decode_at(mem, pc).ok())?;
         self.trace_stats.formed += 1;
         Some(self.insert_trace(trace))
     }
@@ -421,11 +334,11 @@ impl ICache {
 
     /// Forms traces at install time: a greedy cover over the verifier's
     /// disassembly, one trace per instruction address not already inside a
-    /// live trace. Decodes come exclusively from `entries` (the same
-    /// patched stream [`ICache::prewarm`] was fed), never from raw memory
-    /// and never through the hit-counting demand path — install-time work
-    /// is accounted as `prewarmed`, not as hits or fills. Returns the
-    /// formed trace lengths for the caller to fold into telemetry.
+    /// live trace. Decodes come exclusively from `entries` (the verifier's
+    /// disassembly, patched to the post-rewrite immediates), never from raw
+    /// memory — install-time work is accounted as `prewarmed`, not as
+    /// demand formations. Returns the formed trace lengths for the caller
+    /// to fold into telemetry.
     pub(crate) fn prewarm_traces(
         &mut self,
         mem: &Memory,
@@ -542,32 +455,6 @@ impl ICache {
         self.traces[id as usize] = Some(trace);
         id
     }
-
-    fn insert(&mut self, pc: u64, inst: Inst, len: u8, mem: &Memory) -> bool {
-        debug_assert!(len >= 1);
-        let Some(off) = pc.checked_sub(self.base) else { return false };
-        let off = off as usize;
-        let page = off / PAGE;
-        // Never cache a page-straddling instruction: its tail lives under a
-        // different page generation, which a single stamp cannot cover.
-        if off % PAGE + len as usize > PAGE {
-            return false;
-        }
-        let Some(gen) = mem.page_code_gen(page) else { return false };
-        let slot = &mut self.pages[page];
-        match slot {
-            Some(cached) if cached.gen == gen => {}
-            Some(cached) => {
-                // The page was written since its last fill; every existing
-                // entry is suspect. Restart the page at the current stamp.
-                self.stats.invalidations += 1;
-                *cached = CachedPage::new(gen);
-            }
-            None => *slot = Some(CachedPage::new(gen)),
-        }
-        slot.as_mut().expect("just ensured").entries[off % PAGE] = Some((inst, len));
-        true
-    }
 }
 
 #[cfg(test)]
@@ -579,76 +466,71 @@ mod tests {
         Memory::new(EnclaveLayout::new(MemConfig::small()))
     }
 
-    #[test]
-    fn fill_then_hit() {
-        let m = mem();
-        let pc = m.layout().code.start;
-        let mut ic = ICache::new(&m);
-        assert_eq!(ic.lookup(pc, &m), None);
-        ic.fill(pc, Inst::Halt, 1, &m);
-        assert_eq!(ic.lookup(pc, &m), Some((Inst::Halt, 1)));
-        assert_eq!(ic.stats.fills, 1);
-        assert_eq!(ic.stats.hits, 1);
+    /// `mem()` with `prog` encoded at the start of the code region.
+    fn mem_with(prog: &[Inst]) -> Memory {
+        let mut m = mem();
+        let (bytes, _) = deflection_isa::encode_program(prog);
+        m.poke_bytes(m.layout().code.start, &bytes).unwrap();
+        m
     }
 
     #[test]
-    fn code_write_invalidates_page() {
-        let mut m = mem();
+    fn demand_formation_decodes_from_memory_then_lookup_hits() {
+        let m = mem_with(&[Inst::Nop, Inst::Halt]);
         let pc = m.layout().code.start;
         let mut ic = ICache::new(&m);
-        ic.fill(pc, Inst::Halt, 1, &m);
-        // A store into the same code page must drop the cached decode.
-        m.store(pc + 64, 8, 0x1234).unwrap();
-        assert_eq!(ic.lookup(pc, &m), None);
-        assert_eq!(ic.stats.invalidations, 1);
-        // The page refills against the new generation and hits again.
-        ic.fill(pc, Inst::Nop, 1, &m);
-        assert_eq!(ic.lookup(pc, &m), Some((Inst::Nop, 1)));
+        assert!(ic.lookup_trace(pc, &m).is_none());
+        let id = ic.form_trace(pc, &m).expect("decodable entry");
+        assert_eq!(ic.trace(id).elems.len(), 2, "halt ends the trace");
+        assert_eq!(ic.lookup_trace(pc + 1, &m), Some((id, 1)));
+        assert_eq!(ic.trace_stats.formed, 1);
+    }
+
+    #[test]
+    fn code_write_kills_the_trace_and_reformation_sees_the_new_bytes() {
+        let mut m = mem_with(&[Inst::Halt]);
+        let pc = m.layout().code.start;
+        let mut ic = ICache::new(&m);
+        ic.form_trace(pc, &m).expect("decodable entry");
+        // Overwrite the halt with a nop: the stale trace must die.
+        let (nop, _) = deflection_isa::encode_program(&[Inst::Nop]);
+        m.store(pc, 1, u64::from(nop[0])).unwrap();
+        assert!(ic.lookup_trace(pc, &m).is_none());
+        assert_eq!(ic.trace_stats.invalidated, 1);
+        let id = ic.form_trace(pc, &m).expect("re-formed against the new stamp");
+        assert!(matches!(ic.trace(id).elems[0].op, PredInst::Line { inst: Inst::Nop, .. }));
     }
 
     #[test]
     fn writes_to_other_pages_do_not_invalidate() {
-        let mut m = mem();
+        let mut m = mem_with(&[Inst::Halt]);
         let pc = m.layout().code.start;
         let mut ic = ICache::new(&m);
-        ic.fill(pc, Inst::Halt, 1, &m);
+        ic.form_trace(pc, &m).expect("decodable entry");
         m.store(m.layout().heap.start, 8, 7).unwrap();
         m.store(pc + PAGE_SIZE + 8, 8, 7).unwrap(); // next code page
-        assert_eq!(ic.lookup(pc, &m), Some((Inst::Halt, 1)));
-        assert_eq!(ic.stats.invalidations, 0);
+        assert!(ic.lookup_trace(pc, &m).is_some());
+        assert_eq!(ic.trace_stats.invalidated, 0);
     }
 
     #[test]
-    fn straddling_instructions_are_never_cached() {
-        let m = mem();
-        let pc = m.layout().code.start + PAGE_SIZE - 2;
+    fn straddling_and_out_of_range_entries_form_no_trace() {
+        let mut m = mem();
+        let code = m.layout().code.start;
+        // A 10-byte mov whose tail spills onto the next page.
+        let (bytes, _) = deflection_isa::encode_program(&[Inst::MovRI {
+            dst: deflection_isa::Reg::RAX,
+            imm: 1,
+        }]);
+        let straddle = code + PAGE_SIZE - 2;
+        m.poke_bytes(straddle, &bytes).unwrap();
         let mut ic = ICache::new(&m);
-        ic.fill(pc, Inst::Nop, 10, &m); // would spill 8 bytes into next page
-        assert_eq!(ic.lookup(pc, &m), None);
-        assert_eq!(ic.stats.fills, 0);
-    }
-
-    #[test]
-    fn out_of_range_pcs_miss_harmlessly() {
-        let m = mem();
-        let mut ic = ICache::new(&m);
-        assert_eq!(ic.lookup(0, &m), None); // untrusted memory
-        assert_eq!(ic.lookup(u64::MAX, &m), None);
-        ic.fill(0, Inst::Halt, 1, &m);
-        ic.fill(m.layout().elrange.end, Inst::Halt, 1, &m);
-        assert_eq!(ic.stats.fills, 0);
-    }
-
-    #[test]
-    fn prewarm_hits_without_demand_fill() {
-        let m = mem();
-        let pc = m.layout().code.start;
-        let mut ic = ICache::new(&m);
-        ic.prewarm(&m, [(pc, Inst::Nop, 1), (pc + 1, Inst::Halt, 1)]);
-        assert_eq!(ic.stats.prewarms, 2);
-        assert_eq!(ic.lookup(pc, &m), Some((Inst::Nop, 1)));
-        assert_eq!(ic.lookup(pc + 1, &m), Some((Inst::Halt, 1)));
-        assert_eq!(ic.stats.fills, 0);
+        assert_eq!(ic.form_trace(straddle, &m), None);
+        assert_eq!(ic.form_trace(0, &m), None, "untrusted memory");
+        assert_eq!(ic.form_trace(m.layout().elrange.end, &m), None);
+        assert!(ic.lookup_trace(0, &m).is_none());
+        assert!(ic.lookup_trace(u64::MAX, &m).is_none());
+        assert_eq!(ic.trace_stats, TraceStats::default());
     }
 
     #[test]
@@ -771,9 +653,9 @@ mod tests {
         let mut m = mem();
         let pc = m.layout().code.start;
         let mut ic = ICache::new(&m);
-        ic.fill(pc, Inst::Halt, 1, &m);
+        ic.prewarm_traces(&m, &[(pc, Inst::Halt, 1)]);
         m.set_region_perm(m.layout().code, crate::mem::PagePerm::RW);
-        assert_eq!(ic.lookup(pc, &m), None);
-        assert_eq!(ic.stats.invalidations, 1);
+        assert!(ic.lookup_trace(pc, &m).is_none());
+        assert_eq!(ic.trace_stats.invalidated, 1);
     }
 }

@@ -109,28 +109,36 @@ impl Pages {
     }
 
     /// The `len` (1..=8) bytes at `off`, which lie in one page, as a
-    /// little-endian integer.
-    #[inline]
+    /// little-endian integer. The CPU's loads are 1 or 8 bytes wide;
+    /// inlined with a constant `len`, the match folds to a single move.
+    #[inline(always)]
     fn read_word(&self, off: usize, len: usize) -> u64 {
         let Some(page) = &self.0[off / PAGE] else { return 0 };
         let o = off % PAGE;
-        if len == 8 {
-            return u64::from_le_bytes(page[o..o + 8].try_into().expect("8 bytes"));
+        match len {
+            8 => u64::from_le_bytes(page[o..o + 8].try_into().expect("8 bytes")),
+            1 => u64::from(page[o]),
+            _ => {
+                let mut word = [0u8; 8];
+                word[..len].copy_from_slice(&page[o..o + len]);
+                u64::from_le_bytes(word)
+            }
         }
-        let mut word = [0u8; 8];
-        word[..len].copy_from_slice(&page[o..o + len]);
-        u64::from_le_bytes(word)
     }
 
     /// Writes the low `len` (1..=8) bytes of `value`, little-endian, at
-    /// `off`; the bytes lie in one page.
-    #[inline]
-    fn write_word(&mut self, off: usize, len: usize, value: u64) {
-        let bytes = value.to_le_bytes();
+    /// `off` when its page (the bytes lie in one) is already allocated;
+    /// `false`, writing nothing, when it is not.
+    #[inline(always)]
+    fn write_allocated(&mut self, off: usize, len: usize, value: u64) -> bool {
+        let Some(page) = &mut self.0[off / PAGE] else { return false };
         let o = off % PAGE;
-        if let Some(page) = self.page_for_write(off / PAGE, &bytes[..len]) {
-            page[o..o + len].copy_from_slice(&bytes[..len]);
+        match len {
+            8 => page[o..o + 8].copy_from_slice(&value.to_le_bytes()),
+            1 => page[o] = value as u8,
+            _ => page[o..o + len].copy_from_slice(&value.to_le_bytes()[..len]),
         }
+        true
     }
 
     /// The `len` (1..=8) bytes at `off`, on any pages, as a little-endian
@@ -144,7 +152,6 @@ impl Pages {
     /// Page `i` for a write of `bytes`, allocated first if need be, or
     /// `None` when it is unallocated and `bytes` are all zero: writing them
     /// would change nothing.
-    #[inline]
     fn page_for_write(&mut self, i: usize, bytes: &[u8]) -> Option<&mut [u8; PAGE]> {
         let slot = &mut self.0[i];
         if slot.is_none() {
@@ -338,6 +345,7 @@ impl Memory {
 
     /// Stamps every executable page overlapping the enclave-relative byte
     /// range `off..off + len` with a fresh code-write generation.
+    #[cold]
     fn note_enclave_write(&mut self, off: usize, len: usize) {
         if len == 0 {
             return;
@@ -360,7 +368,7 @@ impl Memory {
     /// `len64`-byte access lies entirely inside one enclave page — the moral
     /// equivalent of a direct-mapped TLB hit (one range compare plus one
     /// page-cross test, no per-page permission loop).
-    #[inline]
+    #[inline(always)]
     fn enclave_single_page_offset(&self, addr: u64, len64: u64) -> Option<usize> {
         let off = addr.checked_sub(self.layout.elrange.start)?;
         let end = off.checked_add(len64)?;
@@ -385,6 +393,7 @@ impl Memory {
         Some(self.perms[idx])
     }
 
+    #[cold]
     fn check_enclave_perm(&self, addr: u64, len: u64, access: Access) -> Result<(), Fault> {
         let first = addr / PAGE_SIZE;
         let last = (addr + len - 1) / PAGE_SIZE;
@@ -410,19 +419,30 @@ impl Memory {
     /// Reads `len` (1..=8) bytes at `addr` as a little-endian integer, with
     /// permission checks (the path the executing target binary uses).
     ///
+    /// The fast path — one enclave page with its read bit set — is inlined
+    /// into the CPU; everything else takes `load_slow`.
+    ///
     /// # Errors
     ///
     /// Faults on unmapped addresses and on enclave pages without read
     /// permission.
+    #[inline(always)]
     pub fn load(&self, addr: u64, len: u8) -> Result<u64, Fault> {
         debug_assert!((1..=8).contains(&len));
-        let len64 = len as u64;
-        if let Some(off) = self.enclave_single_page_offset(addr, len64) {
-            if !self.perms[off / PAGE].r {
-                return Err(Fault::ReadViolation { addr });
+        if let Some(off) = self.enclave_single_page_offset(addr, u64::from(len)) {
+            if self.perms[off / PAGE].r {
+                return Ok(self.enclave.read_word(off, len as usize));
             }
-            return Ok(self.enclave.read_word(off, len as usize));
         }
+        self.load_slow(addr, len)
+    }
+
+    /// Every load the fast path leaves: a permission fault, a page-crossing
+    /// or untrusted access, or an unmapped address.
+    #[cold]
+    #[inline(never)]
+    fn load_slow(&self, addr: u64, len: u8) -> Result<u64, Fault> {
+        let len64 = u64::from(len);
         if self.layout.elrange.contains_range(addr, len64) {
             self.check_enclave_perm(addr, len64, Access::Read)?;
             let off = (addr - self.layout.elrange.start) as usize;
@@ -437,28 +457,36 @@ impl Memory {
     /// Writes `len` (1..=8) bytes at `addr`, with permission checks. Stores
     /// to untrusted memory succeed but are recorded as potential leaks.
     ///
+    /// The fast path — one allocated enclave page, writable and not
+    /// executable — is inlined into the CPU; everything else takes
+    /// `store_slow`.
+    ///
     /// # Errors
     ///
     /// Faults on unmapped addresses and on enclave pages without write
     /// permission (guard pages, code-adjacent read-only pages, …).
+    #[inline(always)]
     pub fn store(&mut self, addr: u64, len: u8, value: u64) -> Result<(), Fault> {
         debug_assert!((1..=8).contains(&len));
-        let len64 = len as u64;
-        if let Some(off) = self.enclave_single_page_offset(addr, len64) {
-            let page = off / PAGE;
-            let perm = self.perms[page];
-            if !perm.w {
-                return Err(Fault::WriteViolation { addr });
+        if let Some(off) = self.enclave_single_page_offset(addr, u64::from(len)) {
+            let perm = self.perms[off / PAGE];
+            // A store to an executable page must stamp it (self-modifying
+            // code), so it takes the slow path like a first write does.
+            if perm.w && !perm.x && self.enclave.write_allocated(off, len as usize, value) {
+                return Ok(());
             }
-            self.enclave.write_word(off, len as usize, value);
-            if perm.x {
-                // Self-modifying code (the SGXv1 RWX window permits it):
-                // invalidate any cached decodes of this page.
-                self.code_gen += 1;
-                self.page_code_gen[page] = self.code_gen;
-            }
-            return Ok(());
         }
+        self.store_slow(addr, len, value)
+    }
+
+    /// Every store the fast path leaves: a permission fault, a write to an
+    /// executable page (which stamps its code-write generation), the first
+    /// write to a page (which allocates it), a page-crossing or untrusted
+    /// access, or an unmapped address.
+    #[cold]
+    #[inline(never)]
+    fn store_slow(&mut self, addr: u64, len: u8, value: u64) -> Result<(), Fault> {
+        let len64 = u64::from(len);
         let bytes = value.to_le_bytes();
         let bytes = &bytes[..len as usize];
         if self.layout.elrange.contains_range(addr, len64) {

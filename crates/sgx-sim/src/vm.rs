@@ -4,7 +4,7 @@
 
 use crate::aex::AexInjector;
 use crate::cpu::{Cpu, StepEvent};
-use crate::icache::{ICache, ICacheStats, Trace, TraceStats, CHECK_GEN, CHECK_PC, END, NO_ELEM};
+use crate::icache::{ICache, Trace, TraceStats, CHECK_GEN, CHECK_PC, END, NO_ELEM};
 use crate::mem::Memory;
 use crate::Fault;
 use deflection_isa::{Inst, Reg};
@@ -161,7 +161,8 @@ pub struct Vm {
     pub aex: AexInjector,
     /// Execution counters.
     pub stats: ExecStats,
-    /// Predecoded instruction + trace cache (see [`crate::icache`]).
+    /// Superblock trace cache, the VM's only decoded form (see
+    /// [`crate::icache`]).
     icache: ICache,
     /// Active dispatch mode.
     mode: ExecMode,
@@ -256,30 +257,18 @@ impl Vm {
         self.mode = mode;
     }
 
-    /// Icache event counters accumulated so far.
-    #[must_use]
-    pub fn icache_stats(&self) -> ICacheStats {
-        self.icache.stats
-    }
-
     /// Trace-cache event counters accumulated so far.
     #[must_use]
     pub fn trace_stats(&self) -> TraceStats {
         self.icache.trace_stats
     }
 
-    /// Seeds the icache with already-decoded instructions — the install
-    /// path feeds it the verifier's own disassembly (patched to the
-    /// post-rewrite immediates) so the first run starts hot.
-    pub fn prewarm_icache(&mut self, entries: impl IntoIterator<Item = (u64, Inst, u8)>) {
-        self.icache.prewarm(&self.mem, entries);
-    }
-
     /// Forms superblock traces over the verifier's disassembly at install
     /// time (greedy cover, one trace per address not already covered), so a
-    /// full-policy run needs no demand formations at all. Decodes come
-    /// exclusively from `entries`; install-time work is accounted as
-    /// `prewarmed`, never as demand hits or fills.
+    /// full-policy run needs no demand formations at all — the install path
+    /// feeds it the verifier's own decode, patched to the post-rewrite
+    /// immediates. Decodes come exclusively from `entries`; install-time
+    /// work is accounted as `prewarmed`, never as demand formations.
     pub fn prewarm_traces(&mut self, entries: &[(u64, Inst, u8)]) {
         let lens = self.icache.prewarm_traces(&self.mem, entries);
         // Install time is a host-witnessed boundary: fold directly.
@@ -302,7 +291,6 @@ impl Vm {
 
     /// Runs until halt, abort, fault or fuel exhaustion.
     pub fn run(&mut self, fuel: u64, host: &mut dyn VmHost) -> RunExit {
-        let before = self.icache.stats;
         let tbefore = self.icache.trace_stats;
         let exit = match self.mode {
             ExecMode::Traced => self.run_traced(fuel, host),
@@ -312,10 +300,6 @@ impl Vm {
         // hot loops above never touch the host metrics plane themselves —
         // block/trace lengths accumulate in local histograms and fold in
         // here, after the run, on the host side (see DESIGN.md §5f).
-        let after = self.icache.stats;
-        METRICS.vm_icache_hits.add(after.hits - before.hits);
-        METRICS.vm_icache_fills.add(after.fills - before.fills);
-        METRICS.vm_icache_invalidations.add(after.invalidations - before.invalidations);
         let tafter = self.icache.trace_stats;
         METRICS.vm_trace_formed.add(tafter.formed - tbefore.formed);
         METRICS.vm_trace_chained.add(tafter.chained - tbefore.chained);
@@ -379,19 +363,14 @@ impl Vm {
                             (id, 0)
                         }
                         None => {
-                            // Straddling or undecodable entry: single-step
-                            // (faults surface here with reference-identical
-                            // pc state).
+                            // Out-of-ELRANGE, straddling or undecodable
+                            // entry: single-step it from memory (faults
+                            // surface here with reference-identical pc
+                            // state).
                             completed = false;
                             self.stats.instructions += 1;
                             budget -= 1;
-                            let event = match self.icache.lookup(self.cpu.pc, &self.mem) {
-                                Some((inst, len)) => {
-                                    let next = self.cpu.pc.wrapping_add(u64::from(len));
-                                    self.cpu.execute(inst, next, &mut self.mem)
-                                }
-                                None => self.step_on_miss(),
-                            };
+                            let event = self.cpu.step(&mut self.mem);
                             if let Some(exit) = self.hart().dispatch_event(event, host) {
                                 return exit;
                             }
@@ -441,15 +420,6 @@ impl Vm {
             profiling: self.sample_due != u64::MAX,
         };
         (hart, &mut self.icache)
-    }
-
-    /// Decode slow path: fetch + decode once, fill the cache, execute.
-    fn step_on_miss(&mut self) -> Result<StepEvent, Fault> {
-        let pc = self.cpu.pc;
-        let (inst, len) = self.cpu.fetch_decode(&self.mem)?;
-        self.icache.fill(pc, inst, len, &self.mem);
-        let next = pc.wrapping_add(len as u64);
-        self.cpu.execute(inst, next, &mut self.mem)
     }
 
     /// Reference semantics: fetch + decode every instruction, check the
@@ -696,10 +666,10 @@ mod tests {
             vm.set_exec_mode(mode);
             vm.set_aex(AexInjector::new(AexSchedule::Periodic { interval: 13 }));
             let exit = vm.run(10_000, &mut NullHost);
-            (exit, vm.stats, vm.icache_stats(), vm.trace_stats())
+            (exit, vm.stats, vm.trace_stats())
         };
-        let (exit_t, stats_t, _, traces_t) = run_mode(ExecMode::Traced);
-        let (exit_r, stats_r, icache_r, traces_r) = run_mode(ExecMode::Reference);
+        let (exit_t, stats_t, traces_t) = run_mode(ExecMode::Traced);
+        let (exit_r, stats_r, traces_r) = run_mode(ExecMode::Reference);
         assert_eq!(exit_t, RunExit::Halted { exit: 7 });
         assert_eq!(exit_t, exit_r);
         assert_eq!(stats_t, stats_r);
@@ -709,8 +679,7 @@ mod tests {
         assert!(traces_t.formed >= 1);
         assert!(traces_t.chained > 0);
         assert_eq!(traces_t.side_exits, 1);
-        // The oracle never touched the icache or the traces.
-        assert_eq!(icache_r, crate::icache::ICacheStats::default());
+        // The oracle never touched the traces.
         assert_eq!(traces_r, TraceStats::default());
     }
 
@@ -718,7 +687,7 @@ mod tests {
     fn page_straddling_instruction_single_steps_identically_under_aex() {
         // Nop padding puts the loop head — a 10-byte MovRI — at code offset
         // 0xffb, so it straddles the first code page. No trace can start on
-        // it and the icache never holds it, so traced dispatch single-steps
+        // it, so traced dispatch single-steps
         // it on every iteration; the reference interpreter must agree on
         // exit, counters and every register.
         const HEAD: usize = 0xffb;
@@ -834,22 +803,20 @@ mod tests {
                 (base + offs[i] as u64, inst, (end - offs[i]) as u8)
             })
             .collect();
-        vm.prewarm_icache(entries.iter().copied());
         vm.prewarm_traces(&entries);
         let warmed = vm.trace_stats();
         assert!(warmed.prewarmed >= 1);
         assert_eq!(warmed.formed, 0);
         assert_eq!(vm.run(100, &mut NullHost), RunExit::Halted { exit: 9 });
         assert_eq!(vm.trace_stats().formed, 0, "prewarmed cover must serve the whole run");
-        assert_eq!(vm.icache_stats().fills, 0);
     }
 
     #[test]
-    fn self_modifying_code_re_decodes_through_the_icache() {
+    fn self_modifying_code_re_decodes_through_a_new_trace() {
         // The program patches the immediate of its own first instruction
         // (exactly what the in-enclave rewriter does post-verification, here
-        // done by the target itself mid-run) and loops back. Stale cached
-        // decodes would spin forever; coherent ones observe the new value.
+        // done by the target itself mid-run) and loops back. A stale trace
+        // would spin forever; a coherent one observes the new value.
         use deflection_isa::{CondCode, MemOperand};
         let layout = EnclaveLayout::new(MemConfig::small());
         let patch_addr = layout.code.start + 2; // MovRI imm bytes live at +2
@@ -875,30 +842,9 @@ mod tests {
             let exit = vm.run(1000, &mut NullHost);
             assert_eq!(exit, RunExit::Halted { exit: 0x22 }, "{mode:?}");
             if mode == ExecMode::Traced {
-                assert!(vm.icache_stats().invalidations >= 1);
+                assert!(vm.trace_stats().invalidated >= 1);
             }
         }
-    }
-
-    #[test]
-    fn prewarmed_icache_needs_no_demand_fills() {
-        let prog = [Inst::MovRI { dst: Reg::RAX, imm: 9 }, Inst::Nop, Inst::Nop, Inst::Halt];
-        let mut vm = vm_with(&prog);
-        let (_, offs) = encode_program(&prog);
-        let base = vm.mem.layout().code.start;
-        let entries: Vec<(u64, Inst, u8)> = prog
-            .iter()
-            .enumerate()
-            .map(|(i, &inst)| {
-                let end = if i + 1 < offs.len() { offs[i + 1] } else { offs[i] + 1 };
-                (base + offs[i] as u64, inst, (end - offs[i]) as u8)
-            })
-            .collect();
-        vm.prewarm_icache(entries);
-        assert_eq!(vm.icache_stats().prewarms, 4);
-        assert_eq!(vm.run(100, &mut NullHost), RunExit::Halted { exit: 9 });
-        assert_eq!(vm.icache_stats().fills, 0);
-        assert_eq!(vm.icache_stats().hits, 4);
     }
 
     #[test]

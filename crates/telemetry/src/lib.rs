@@ -593,19 +593,14 @@ pub struct Metrics {
     /// host-visible metrics plane (see the trust model above).
     pub audit_events: Counter,
     pub audit_exports: Counter,
-    // -- simulated hardware (icache / dispatch) ----------------------------
+    // -- simulated hardware (trace cache / dispatch) -----------------------
     // Hardware-model counters: the events they count (decode-cache
     // behaviour, interrupt-to-interrupt run lengths) are exactly what real
     // silicon exposes to the host through performance counters and AEX
     // itself, so surfacing them adds no covert channel (DESIGN.md §5f).
-    pub vm_icache_hits: Counter,
-    pub vm_icache_fills: Counter,
-    pub vm_icache_invalidations: Counter,
-    pub vm_icache_prewarms: Counter,
     pub vm_dispatch_block_len: Histogram,
     // Superblock trace cache: formation/chaining/side-exit/kill events and
-    // the length distribution of formed traces (same hardware-observable
-    // argument as the icache counters above — trace formation is decode
+    // the length distribution of formed traces (trace formation is decode
     // activity the host can already time).
     pub vm_trace_formed: Counter,
     pub vm_trace_chained: Counter,
@@ -743,16 +738,6 @@ impl Metrics {
             ),
             audit_events: Counter::new("deflection_audit_total", r#"event="decoded""#),
             audit_exports: Counter::new("deflection_audit_total", r#"event="exported""#),
-            vm_icache_hits: Counter::new("deflection_vm_icache_events_total", r#"event="hit""#),
-            vm_icache_fills: Counter::new("deflection_vm_icache_events_total", r#"event="fill""#),
-            vm_icache_invalidations: Counter::new(
-                "deflection_vm_icache_events_total",
-                r#"event="invalidation""#,
-            ),
-            vm_icache_prewarms: Counter::new(
-                "deflection_vm_icache_events_total",
-                r#"event="prewarm""#,
-            ),
             vm_dispatch_block_len: Histogram::new("deflection_vm_dispatch_block_len", ""),
             vm_trace_formed: Counter::new("deflection_vm_trace_events_total", r#"event="formed""#),
             vm_trace_chained: Counter::new(
@@ -792,7 +777,7 @@ impl Metrics {
         ]
     }
 
-    fn more_counters(&self) -> [&Counter; 25] {
+    fn more_counters(&self) -> [&Counter; 21] {
         [
             &self.admission_enqueued,
             &self.admission_admitted,
@@ -802,10 +787,6 @@ impl Metrics {
             &self.run_budget_exhaustions,
             &self.audit_events,
             &self.audit_exports,
-            &self.vm_icache_hits,
-            &self.vm_icache_fills,
-            &self.vm_icache_invalidations,
-            &self.vm_icache_prewarms,
             &self.vm_trace_formed,
             &self.vm_trace_chained,
             &self.vm_trace_side_exits,

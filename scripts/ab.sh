@@ -17,7 +17,10 @@
 # pairs the change won with a two-sided sign-test p-value, and
 # "unresolved" when the base's own spread (IQR / median) exceeds the
 # metric's BENCHMARK.json bound: such a metric cannot show a change of
-# that size either way. Every run's result line is kept in
+# that size either way. Below the table it prints each side's median
+# `attempted` (requests or onboardings offered in the run): metrics such as
+# peak_rss_mb move with it, so a change in throughput shows there. Every
+# run's result line is kept in
 # target/ab/<workload>-<rev>.jsonl for later tables. A run that is not
 # `correct: true` aborts the script.
 set -euo pipefail
@@ -52,7 +55,7 @@ done
 log="$root/target/ab/$workload-$base_rev.jsonl"
 : >"$log"
 
-# Runs one side; appends {"side", "seed", "metrics"} to the log.
+# Runs one side; appends {"side", "seed", "attempted", "metrics"} to the log.
 run_side() {
     local side=$1 dir=$2 seed=$3 out last
     out=$(cd "$dir" && "${command[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds")
@@ -63,8 +66,10 @@ run_side() {
         exit 1
     fi
     jq -c --arg side "$side" --argjson seed "$seed" \
-        '{side: $side, seed: $seed, metrics: (.metrics | map_values(.value))}' <<<"$last" >>"$log"
-    echo "    $side seed $seed: $(jq -c '.metrics | map_values(.value)' <<<"$last")" >&2
+        '{side: $side, seed: $seed, attempted: .attempted, metrics: (.metrics | map_values(.value))}' \
+        <<<"$last" >>"$log"
+    echo "    $side seed $seed: attempted $(jq -c '.attempted' <<<"$last")" \
+        "$(jq -c '.metrics | map_values(.value)' <<<"$last")" >&2
 }
 
 for ((k = 0; k < pairs; k++)); do
@@ -86,8 +91,10 @@ log, bench, workload, base_rev = sys.argv[1:]
 runs = [json.loads(line) for line in open(log)]
 spec = json.load(open(bench))["end_to_end"]
 by_side = {"base": {}, "change": {}}
+attempted = {"base": {}, "change": {}}
 for r in runs:
     by_side[r["side"]][r["seed"]] = r["metrics"]
+    attempted[r["side"]][r["seed"]] = r["attempted"]
 seeds = sorted(set(by_side["base"]) & set(by_side["change"]))
 
 
@@ -130,4 +137,13 @@ for m in spec:
     change_col = f"{cm:.4g} [{c1:.4g}, {c3:.4g}]"
     print(f"{name:<15} {base_col:<30} {change_col:<30} {delta:>+8.1%} "
           f"{wins:>3}/{len(pairs):<2} {sign_p(wins, losses):>7.3f}  {note}")
+
+# Offered work per run, beside the metrics it drives (peak_rss_mb grows
+# with the requests a run serves).
+att = {side: [attempted[side][s] for s in seeds] for side in ("base", "change")}
+(a1, a3), (d1, d3) = quart(att["base"]), quart(att["change"])
+am, dm = statistics.median(att["base"]), statistics.median(att["change"])
+base_col = f"{am:.6g} [{a1:.6g}, {a3:.6g}]"
+change_col = f"{dm:.6g} [{d1:.6g}, {d3:.6g}]"
+print(f"{'attempted':<15} {base_col:<30} {change_col:<30} {(dm - am) / am if am else 0.0:>+8.1%}")
 EOF

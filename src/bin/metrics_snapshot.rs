@@ -180,16 +180,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // The standalone run doubles as an icache health check: a freshly
-    // installed enclave is pre-warmed from the verifier's decode, so demand
-    // fills here mean the pre-warm missed something.
-    let icache = enclave.icache_stats();
-    println!(
-        "icache: {} pre-warmed, {} hits, {} demand fills, {} invalidations",
-        icache.prewarms, icache.hits, icache.fills, icache.invalidations
-    );
-    // Same health check for the trace layer: install forms the trace
-    // cover, so demand formations here mean the cover missed something.
+    // The standalone run doubles as a trace-cache health check: install
+    // forms the trace cover from the verifier's decode, so demand
+    // formations here mean the cover missed something.
     let traces = enclave.trace_stats();
     println!(
         "traces: {} pre-warmed, {} demand-formed, {} chained, {} side exits, {} invalidated",

@@ -1,13 +1,13 @@
-//! Differential suite for the predecoded instruction + trace caches: the
-//! VM's dispatch path — superblock traces (`Vm::run_traced`) — and its
-//! oracle, the decode-every-step reference interpreter, must be
-//! *bit-identical*: same exit, same counters, same final memory image,
-//! same leak log — on every program shape we can throw at them: the full
-//! attack corpus, the elision corpus, every AEX schedule, fuel exhaustion
-//! mid-block and mid-trace, self-modifying code that patches a live trace,
-//! and proptest-generated programs.
+//! Differential suite for the trace cache: the VM's dispatch path —
+//! superblock traces (`Vm::run_traced`) — and its oracle, the
+//! decode-every-step reference interpreter, must be *bit-identical*: same
+//! exit, same counters, same final memory image, same leak log — on every
+//! program shape we can throw at them: the full attack corpus, the elision
+//! corpus, every AEX schedule, fuel exhaustion mid-block and mid-trace,
+//! self-modifying code that patches a live trace, sequences of requests
+//! served by one long-lived instance, and proptest-generated programs.
 //!
-//! The caches are pure performance artifacts; any observable divergence is
+//! The cache is a pure performance artifact; any observable divergence is
 //! a soundness bug, so these tests compare whole-machine snapshots rather
 //! than spot-checking exit codes.
 
@@ -58,7 +58,7 @@ fn snapshot(enclave: &BootstrapEnclave, report: RunReport) -> Snapshot {
 
 /// Installs `binary` and runs it to `fuel` in the requested dispatch mode.
 /// Returns `None` when installation is rejected (mode-independent: the
-/// consumer pipeline never consults the icache).
+/// consumer pipeline never consults the trace cache).
 fn run_mode(
     binary: &[u8],
     manifest: &Manifest,
@@ -174,11 +174,11 @@ fn aex_schedules_and_fuel_exhaustion_are_bit_identical() {
 }
 
 /// The runtime's install path rewrites placeholder immediates in memory and
-/// *then* pre-warms the icache from the predicted post-rewrite stream. If
-/// that prediction were stale (pre-rewrite decodes, wrong offsets), cached
+/// *then* forms the trace cover from the predicted post-rewrite stream. If
+/// that prediction were stale (pre-rewrite decodes, wrong offsets), traced
 /// execution would run with placeholder bounds and diverge. Beyond
-/// bit-identity, the cached run must need **zero demand fills**: every
-/// executed instruction was already present and coherent from the pre-warm.
+/// bit-identity, the traced run must need **zero demand formations**:
+/// every executed instruction was already covered, coherently, at install.
 #[test]
 fn rewriter_coherence_prewarm_serves_patched_decodes() {
     let manifest = Manifest::ccaas();
@@ -190,17 +190,13 @@ fn rewriter_coherence_prewarm_serves_patched_decodes() {
         .expect("honest binary installs");
 
     // Traced dispatch: the install-time greedy trace cover must serve the
-    // whole run — zero demand fills AND zero demand formations.
+    // whole run — zero demand formations.
     let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest);
     enclave.set_owner_session([0x5A; 32]);
     enclave.install_plain(&binary).expect("verifies");
     enclave.set_aex(AexInjector::new(aex));
     let report = enclave.run(u64::MAX / 2).expect("installed");
     assert!(matches!(report.exit, RunExit::Halted { .. }));
-    let stats = enclave.icache_stats();
-    assert!(stats.prewarms > 0, "install must pre-warm the cache");
-    assert_eq!(stats.fills, 0, "pre-warm must cover every executed instruction");
-    assert_eq!(stats.invalidations, 0, "nothing wrote code after install");
     let traces = enclave.trace_stats();
     assert!(traces.prewarmed > 0, "install must form the trace cover");
     assert_eq!(traces.formed, 0, "trace cover must need no demand formations");
@@ -258,12 +254,12 @@ fn self_modifying_store_kills_live_traces_mid_run() {
     );
 }
 
-/// The literal warm → patch → run sequence: pre-warm the cache with the
+/// The literal warm → patch → run sequence: form the trace cover from the
 /// install-time decode stream, then patch an annotation immediate through
 /// the consumer's own rewriter (lowering the P6 AEX threshold to 1), then
-/// run. The cached VM must execute the *patched* program — aborting with
+/// run. The traced VM must execute the *patched* program — aborting with
 /// the P6 code exactly like the reference interpreter — which is only
-/// possible if the rewrite's generation bump invalidated the warm entries.
+/// possible if the rewrite's generation bump killed the warm traces.
 #[test]
 fn rewrite_after_warm_is_observed_by_the_cache() {
     use deflection::core::consumer::rewriter::rewritten_insts;
@@ -299,14 +295,12 @@ fn rewrite_after_warm_is_observed_by_the_cache() {
         );
         let mut vm = Vm::new(mem, installed.program.entry_va);
         vm.set_exec_mode(mode);
-        // Warm: the exact pre-warm the runtime's install path performs,
-        // including the install-time trace cover.
+        // Warm: the exact install-time trace cover the runtime forms.
         let code_base = layout.code.start;
         let entries: Vec<_> = rewritten_insts(&installed.verified, &bindings)
             .into_iter()
             .map(|(off, inst, len)| (code_base + off as u64, inst, len as u8))
             .collect();
-        vm.prewarm_icache(entries.iter().copied());
         vm.prewarm_traces(&entries);
         // Patch through the consumer path: AEX threshold 1000 -> 1.
         let strict = Bindings { aex_max: 1, ..bindings };
@@ -320,10 +314,6 @@ fn rewrite_after_warm_is_observed_by_the_cache() {
         );
         if mode == ExecMode::Traced {
             assert!(
-                vm.icache_stats().invalidations > 0,
-                "the rewrite must invalidate warm icache pages"
-            );
-            assert!(
                 vm.trace_stats().invalidated > 0,
                 "the rewrite must kill the install-time trace cover"
             );
@@ -334,7 +324,7 @@ fn rewrite_after_warm_is_observed_by_the_cache() {
 }
 
 /// The reference oracle, selected through the setter, never touches the
-/// icache or the trace cache.
+/// trace cache: install forms the cover, and nothing uses or kills it.
 #[test]
 fn reference_mode_reports_empty_icache_stats() {
     let manifest = Manifest::ccaas();
@@ -345,13 +335,53 @@ fn reference_mode_reports_empty_icache_stats() {
     enclave.set_exec_mode(ExecMode::Reference);
     let report = enclave.run(u64::MAX / 2).expect("installed");
     assert!(matches!(report.exit, RunExit::Halted { .. }));
-    let stats = enclave.icache_stats();
-    assert_eq!(stats.hits, 0, "reference mode must never touch the cache");
-    assert_eq!(stats.fills, 0);
     let traces = enclave.trace_stats();
+    assert!(traces.prewarmed > 0, "install forms the cover in either mode");
     assert_eq!(traces.formed, 0, "reference mode must never form traces");
     assert_eq!(traces.chained, 0);
     assert_eq!(traces.side_exits, 0);
+    assert_eq!(traces.invalidated, 0);
+}
+
+/// Serving reuses one instance for many requests: the AEX plan keys on the
+/// cumulative instruction counter, and globals and trace state persist
+/// from run to run. Five consecutive requests of every serving class on
+/// one instance per mode must leave identical snapshots after every run.
+#[test]
+fn resident_request_sequences_are_bit_identical() {
+    use deflection::bench::serving::{serving_manifest, workloads};
+    let manifest = serving_manifest();
+    let schedules = [
+        AexSchedule::None,
+        AexSchedule::Periodic { interval: 7 },
+        AexSchedule::Random { per_inst_prob: 0.05, seed: 11 },
+    ];
+    for w in workloads() {
+        let binary = produce(&w.source, &manifest.policy).expect("workload produces").serialize();
+        for aex in &schedules {
+            let mut enclaves = [ExecMode::Traced, ExecMode::Reference].map(|mode| {
+                let mut enclave =
+                    BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest.clone());
+                enclave.set_owner_session([0x5A; 32]);
+                enclave.install_plain(&binary).expect("workload verifies");
+                enclave.set_exec_mode(mode);
+                enclave.set_aex(AexInjector::new(aex.clone()));
+                enclave
+            });
+            for i in 0..5 {
+                let [traced, reference] = enclaves.each_mut().map(|enclave| {
+                    enclave.provide_input(&(w.request)(i)).expect("installed");
+                    let report = enclave.run(50_000_000).expect("installed");
+                    snapshot(enclave, report)
+                });
+                assert_eq!(
+                    traced, reference,
+                    "{}: run {i} diverged on a resident instance ({aex:?})",
+                    w.name
+                );
+            }
+        }
+    }
 }
 
 /// Renders a random straight-line-in-a-loop program from a compact recipe:
