@@ -186,8 +186,8 @@ impl AVal {
 /// value equals the *current* content of frame slot `d`. Maintained by
 /// clearing the origin whenever slot `d` is (possibly) overwritten.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct Tracked {
-    pub(crate) val: AVal,
+struct Tracked {
+    val: AVal,
     origin: Option<i64>,
 }
 
@@ -210,7 +210,7 @@ const MAX_RELS: usize = 8;
 /// transfers to the subject — the difference-bound step that proves
 /// loop counters compared against a runtime-clamped limit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct RelFact {
+struct RelFact {
     sub_slot: i64,
     bound_slot: i64,
     add: i64,
@@ -218,13 +218,13 @@ pub(crate) struct RelFact {
 
 /// The per-program-point abstract state.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct AbsState {
+struct AbsState {
     regs: [Tracked; 16],
     /// Frame slot delta (relative to `stack_hi`) -> content, sorted by
     /// delta: a clone is one allocation and lookups binary-search.
     slots: Vec<(i64, Tracked)>,
     /// Sorted, deduplicated difference bounds between frame slots.
-    pub(crate) rels: Vec<RelFact>,
+    rels: Vec<RelFact>,
 }
 
 impl AbsState {
@@ -247,7 +247,7 @@ impl AbsState {
     /// points at the freshly pushed return address (entry-relative
     /// offset 0), `rbp` holds the unforgeable caller token, and the
     /// caller's frame contents are unknown.
-    pub(crate) fn balance_entry() -> AbsState {
+    fn balance_entry() -> AbsState {
         let mut s = AbsState::havoc();
         s.regs[RSP] = Tracked { val: AVal::Stack(Interval::exact(0)), origin: None };
         s.regs[RBP] = Tracked { val: AVal::EntryRbp, origin: None };
@@ -278,7 +278,7 @@ impl AbsState {
         self.slots.binary_search_by_key(&d, |&(k, _)| k).ok().map(|i| &self.slots[i].1)
     }
 
-    pub(crate) fn reg(&self, r: Reg) -> Tracked {
+    fn reg(&self, r: Reg) -> Tracked {
         self.regs[r.index() as usize]
     }
 
@@ -509,7 +509,7 @@ enum FlagState {
 /// Block-local flag tracking (flags never survive a block boundary;
 /// the compiler always tests them adjacent to the `cmp`).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct LocalFlags {
+struct LocalFlags {
     flag: FlagState,
     /// `setcc` results: register -> the comparison it reifies.
     bool_preds: Vec<(u8, CmpSnap, CondCode)>,
@@ -550,9 +550,9 @@ impl LocalFlags {
 /// the queries the producer and verifier share.
 #[derive(Debug)]
 pub struct Analysis {
-    pub(crate) cfg: Cfg,
-    pub(crate) config: AnalysisConfig,
-    pub(crate) in_states: Vec<Option<AbsState>>,
+    cfg: Cfg,
+    config: AnalysisConfig,
+    in_states: Vec<Option<AbsState>>,
 }
 
 impl Analysis {
@@ -717,7 +717,7 @@ impl Analysis {
 }
 
 /// Executes a whole block from its in-state.
-pub(crate) fn exec_block(
+fn exec_block(
     cfg: &Cfg,
     b: usize,
     mut state: AbsState,
@@ -731,7 +731,7 @@ pub(crate) fn exec_block(
 }
 
 /// The direct-call target offset of `from`'s terminator, if any.
-pub(crate) fn call_target(cfg: &Cfg, from: usize) -> Option<usize> {
+fn call_target(cfg: &Cfg, from: usize) -> Option<usize> {
     let &(_, Inst::Call { rel }) = cfg.blocks[from].insts.last()? else { return None };
     Some((cfg.blocks[from].end as i64 + i64::from(rel)) as usize)
 }
@@ -877,7 +877,7 @@ fn balanced_entries(
 /// Its in-state at block `b` over-approximates the projection of every
 /// full-analysis flow into `b`, which is what makes it a sound seed
 /// for the per-function fixpoints.
-pub(crate) fn projected_fixpoint(
+fn projected_fixpoint(
     cfg: &Cfg,
     idom: &[Option<usize>],
     config: &AnalysisConfig,
@@ -934,19 +934,19 @@ pub(crate) fn projected_fixpoint(
 /// both ends land in the same group, e.g. recursion); everything else
 /// is cut exactly when it leaves the group. `CallFall` stays internal:
 /// its transform (`AbsState::havoc`) ignores the input state entirely.
-pub(crate) fn is_cut_edge(kind: EdgeKind, from_group: usize, to_group: usize) -> bool {
+fn is_cut_edge(kind: EdgeKind, from_group: usize, to_group: usize) -> bool {
     matches!(kind, EdgeKind::CallTo | EdgeKind::Indirect) || from_group != to_group
 }
 
 /// Shared read-only inputs for the per-group fixpoints.
-pub(crate) struct GroupCtx<'a> {
-    pub(crate) cfg: &'a Cfg,
-    pub(crate) idom: &'a [Option<usize>],
-    pub(crate) config: &'a AnalysisConfig,
-    pub(crate) group_of: &'a [usize],
-    pub(crate) seeded: &'a [bool],
-    pub(crate) prepass: &'a [Option<AbsState>],
-    pub(crate) balanced: &'a BTreeSet<usize>,
+struct GroupCtx<'a> {
+    cfg: &'a Cfg,
+    idom: &'a [Option<usize>],
+    config: &'a AnalysisConfig,
+    group_of: &'a [usize],
+    seeded: &'a [bool],
+    prepass: &'a [Option<AbsState>],
+    balanced: &'a BTreeSet<usize>,
 }
 
 /// Runs the full-precision fixpoint restricted to one group's blocks.
@@ -958,7 +958,7 @@ pub(crate) struct GroupCtx<'a> {
 /// seeds never change during the loop, and the global dominator tree
 /// still identifies this group's back edges (dominance restricted to a
 /// subgraph that contains the dominator paths is unchanged).
-pub(crate) fn group_fixpoint(ctx: &GroupCtx<'_>, members: &[usize]) -> Vec<(usize, AbsState)> {
+fn group_fixpoint(ctx: &GroupCtx<'_>, members: &[usize]) -> Vec<(usize, AbsState)> {
     let local = |b: usize| members.binary_search(&b).expect("edge target in group");
     let m = members.len();
     let mut in_states: Vec<Option<AbsState>> = vec![None; m];

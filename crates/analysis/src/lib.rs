@@ -50,7 +50,6 @@
 
 pub mod absint;
 pub mod cfg;
-pub mod incremental;
 pub mod interval;
 
 pub use absint::{AVal, Analysis, AnalysisConfig};

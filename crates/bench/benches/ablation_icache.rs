@@ -126,7 +126,8 @@ fn print_table() {
 fn bench(c: &mut Criterion) {
     print_table();
     // Trend-tracked Criterion series: cheapest and most store-heavy kernel
-    // in both modes.
+    // in both modes. Each sample is the kernel's run alone (`Sample::wall`),
+    // not the produce, verify and install that precede it.
     let config = MemConfig::small();
     let policy = PolicySet::full();
     let modes = [("traced", ExecMode::Traced), ("reference", ExecMode::Reference)];
@@ -141,16 +142,20 @@ fn bench(c: &mut Criterion) {
             let src = source.clone();
             let inp = input.clone();
             c.bench_function(&id, move |b| {
-                b.iter(|| measure_exec_mode(&src, &inp, &policy, &config, mode))
+                b.iter_custom(|iters| {
+                    (0..iters)
+                        .map(|_| measure_exec_mode(&src, &inp, &policy, &config, mode).wall)
+                        .sum()
+                })
             });
         }
     }
     // The serving handler's VM cost: one https request on a resident
-    // instance, installed once, as the pool serves it — only the ECall's
-    // run is timed, not the install the kernel rows include. The instance
-    // is boxed, as the pool's are: on the stack its register file sat at
-    // an offset the kernel randomises per process, and the trace loop's
-    // time moved with that offset by up to 1.6x (EXPERIMENTS.md).
+    // instance, installed once, as the pool serves it; each sample times
+    // the request's delivery and its run. The instance is boxed, as the
+    // pool's are: on the stack its register file sat at an offset the
+    // kernel randomises per process, and the trace loop's time moved with
+    // that offset by up to 1.6x (EXPERIMENTS.md).
     let manifest = serving_manifest();
     let binary = produce(&server::source(), &manifest.policy).expect("https compiles").serialize();
     let request = server::request(1, 2048);

@@ -80,7 +80,9 @@ pub fn measure_exec_mode(
         produce(source, policy)
     };
     let binary = obj.expect("bench source compiles").serialize();
-    let mut enclave = BootstrapEnclave::new(layout, manifest);
+    // Boxed, as the pool's instances are: on the stack, the VM's speed moves
+    // with the stack's per-process offset (EXPERIMENTS.md, icache ablation).
+    let mut enclave = Box::new(BootstrapEnclave::new(layout, manifest));
     enclave.set_owner_session([0xBE; 32]);
     enclave.install_plain(&binary).expect("bench binary verifies");
     enclave.set_exec_mode(mode);

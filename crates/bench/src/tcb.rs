@@ -2,8 +2,9 @@
 //! enclave and how their lines are counted.
 //!
 //! The `table1_tcb` bench prints this count against the paper's Table I,
-//! and `tests/tcb_budget.rs` holds it under the same bound in the test
-//! suite, so both read the one list below.
+//! `tests/tcb_budget.rs` holds it under the same bound in the test suite,
+//! and `tests/tcb_panic_sites.rs` ratchets the panic sites in the same
+//! lines, so all three read the one list below.
 
 /// In-enclave TCB sources, embedded so the count reflects this build.
 pub const TCB_SOURCES: &[(&str, &str)] = &[
@@ -32,16 +33,21 @@ pub const TCB_SOURCES: &[(&str, &str)] = &[
     ("analysis (api)", include_str!("../../analysis/src/lib.rs")),
 ];
 
-/// Counts non-blank, non-comment lines that are actually compiled into the
-/// enclave: each file keeps its `#[cfg(test)]` module last, so everything
-/// from that marker on is test harness and never part of the TCB.
-#[must_use]
-pub fn code_lines(src: &str) -> usize {
+/// The non-blank, non-comment lines, trimmed, that are actually compiled
+/// into the enclave: each file keeps its `#[cfg(test)]` module last, so
+/// everything from that marker on is test harness and never part of the
+/// TCB.
+pub fn counted_lines(src: &str) -> impl Iterator<Item = &str> {
     src.lines()
         .map(str::trim)
         .take_while(|l| *l != "#[cfg(test)]")
-        .filter(|l| !l.is_empty() && !l.starts_with("//") && !l.starts_with("//!"))
-        .count()
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+}
+
+/// Number of [`counted_lines`] in `src`.
+#[must_use]
+pub fn code_lines(src: &str) -> usize {
+    counted_lines(src).count()
 }
 
 /// Counted lines over every entry of [`TCB_SOURCES`].

@@ -6,7 +6,6 @@
 //! the untrusted producer, which is what lets the TCB stay small
 //! (Table I of the paper).
 
-pub mod incremental;
 pub mod loader;
 pub mod rewriter;
 pub mod verifier;

@@ -150,7 +150,7 @@ impl From<DisasmError> for VerifyError {
 
 /// Role of each instruction after template discovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Role {
+enum Role {
     /// Ordinary program instruction.
     Program,
     /// Inside annotation `id` (not its subject).
@@ -252,20 +252,20 @@ fn rsp_chain_ok(insts: &[(usize, Inst, usize)], roles: &[Role], idx: usize) -> b
 }
 
 /// Read-only inputs shared by every per-function check worker.
-pub(crate) struct CheckCtx<'a> {
-    pub(crate) insts: &'a [(usize, Inst, usize)],
-    pub(crate) roles: &'a [Role],
-    pub(crate) instances: &'a [Instance],
-    pub(crate) starts_at: &'a HashMap<usize, TemplateKind>,
-    pub(crate) d: &'a Disassembly,
-    pub(crate) policy: &'a PolicySet,
-    pub(crate) elide: Option<&'a EnclaveLayout>,
-    pub(crate) analysis: &'a OnceLock<Analysis>,
-    pub(crate) threads: usize,
+struct CheckCtx<'a> {
+    insts: &'a [(usize, Inst, usize)],
+    roles: &'a [Role],
+    instances: &'a [Instance],
+    starts_at: &'a HashMap<usize, TemplateKind>,
+    d: &'a Disassembly,
+    policy: &'a PolicySet,
+    elide: Option<&'a EnclaveLayout>,
+    analysis: &'a OnceLock<Analysis>,
+    threads: usize,
 }
 
 impl CheckCtx<'_> {
-    pub(crate) fn instance_of(&self, idx: usize) -> Option<usize> {
+    fn instance_of(&self, idx: usize) -> Option<usize> {
         match self.roles[idx] {
             Role::Interior(id) | Role::Subject(id) => Some(id),
             Role::Program => None,
@@ -285,21 +285,21 @@ impl CheckCtx<'_> {
 
 /// First error found per check phase within one function's instruction
 /// range, keyed by instruction index for the deterministic merge.
-#[derive(Clone, Default)]
-pub(crate) struct RangeErrors {
+#[derive(Default)]
+struct RangeErrors {
     /// Phase: branches may not skip into annotations.
-    pub(crate) branch: Option<(usize, VerifyError)>,
+    branch: Option<(usize, VerifyError)>,
     /// Phase: rbp write discipline.
-    pub(crate) rbp: Option<(usize, VerifyError)>,
+    rbp: Option<(usize, VerifyError)>,
     /// Phase: per-policy structural rules.
-    pub(crate) policy: Option<(usize, VerifyError)>,
+    policy: Option<(usize, VerifyError)>,
 }
 
 /// Scans instructions `[lo, hi)` — one function — recording the first
 /// error of each instruction-independent phase. Scanning ascending means
 /// the recorded error per phase is the range's lowest-index one; every
 /// check reads only immutable shared state, so ranges are independent.
-pub(crate) fn check_range(ctx: &CheckCtx<'_>, lo: usize, hi: usize) -> RangeErrors {
+fn check_range(ctx: &CheckCtx<'_>, lo: usize, hi: usize) -> RangeErrors {
     let mut out = RangeErrors::default();
     for idx in lo..hi {
         let (offset, inst, len) = ctx.insts[idx];
@@ -438,10 +438,10 @@ fn run_range_checks(
 /// Output of the discovery prefix of verification: disassembly, greedily
 /// matched annotation instances, and the per-instruction roles the check
 /// phases consume.
-pub(crate) struct Discovery {
-    pub(crate) disassembly: Disassembly,
-    pub(crate) roles: Vec<Role>,
-    pub(crate) instances: Vec<Instance>,
+struct Discovery {
+    disassembly: Disassembly,
+    roles: Vec<Role>,
+    instances: Vec<Instance>,
 }
 
 /// The discovery prefix shared by [`verify_impl`] and [`discover`]: the
@@ -451,7 +451,7 @@ pub(crate) struct Discovery {
 /// order-sensitive (a match consumes its instructions before the next
 /// candidate is considered) and costs a small fraction of verification.
 /// Everything downstream only reads its output.
-pub(crate) fn discover_impl(
+fn discover_impl(
     code: &[u8],
     entry: usize,
     indirect_targets: &[usize],
@@ -576,21 +576,6 @@ fn verify_inner(
     // depend on thread timing.
     let ranges = disassembly.function_ranges();
     let results = run_range_checks(&ctx, &ranges, threads);
-    merged_verdict(&ctx, entry, indirect_targets, &results)?;
-    Ok(Verified { insts: insts.to_vec(), disassembly, instances })
-}
-
-/// The deterministic tail of verification: merges the per-function phase
-/// errors (lowest instruction index wins within each phase, phases in the
-/// serial scan's fixed order) and runs the remaining whole-program serial
-/// checks. Shared by the threaded and incremental entry points so the
-/// verdict is bit-identical across all of them.
-pub(crate) fn merged_verdict(
-    ctx: &CheckCtx<'_>,
-    entry: usize,
-    indirect_targets: &[usize],
-    results: &[RangeErrors],
-) -> Result<(), VerifyError> {
     let min_of = |pick: fn(&RangeErrors) -> Option<&(usize, VerifyError)>| {
         results.iter().filter_map(pick).min_by_key(|(k, _)| *k).map(|(_, e)| e.clone())
     };
@@ -600,16 +585,16 @@ pub(crate) fn merged_verdict(
         return Err(e);
     }
     for &t in indirect_targets {
-        let target_idx = ctx.d.index_of(t).expect("indirect targets are disassembly roots");
+        let target_idx = disassembly.index_of(t).expect("indirect targets are disassembly roots");
         if let Some(id) = ctx.instance_of(target_idx) {
-            if target_idx != ctx.instances[id].start_idx {
+            if target_idx != instances[id].start_idx {
                 return Err(VerifyError::IndirectTargetIntoAnnotation { target: t });
             }
         }
     }
-    let entry_idx = ctx.d.index_of(entry).expect("entry is a disassembly root");
+    let entry_idx = disassembly.index_of(entry).expect("entry is a disassembly root");
     if let Some(id) = ctx.instance_of(entry_idx) {
-        if entry_idx != ctx.instances[id].start_idx {
+        if entry_idx != instances[id].start_idx {
             return Err(VerifyError::EntryInsideAnnotation);
         }
     }
@@ -625,9 +610,9 @@ pub(crate) fn merged_verdict(
     }
 
     // --- Shadow-stack prologues at every call target (P5). ----------------
-    if ctx.policy.cfi {
+    if policy.cfi {
         let mut call_targets: Vec<usize> = indirect_targets.to_vec();
-        for &(offset, inst, len) in ctx.insts {
+        for &(offset, inst, len) in insts {
             if let Inst::Call { rel } = inst {
                 call_targets.push(((offset + len) as i64 + i64::from(rel)) as usize);
             }
@@ -638,30 +623,30 @@ pub(crate) fn merged_verdict(
             if target == entry {
                 continue;
             }
-            let target_idx = ctx.d.index_of(target).expect("call targets are disassembled");
-            if ctx.starts_at.get(&target_idx) != Some(&TemplateKind::Prologue) {
+            let target_idx = disassembly.index_of(target).expect("call targets are disassembled");
+            if starts_at.get(&target_idx) != Some(&TemplateKind::Prologue) {
                 return Err(VerifyError::MissingPrologue { offset: target });
             }
         }
     }
 
     // --- AEX density (P6): inherently a sequential prefix scan. ------------
-    if ctx.policy.aex {
+    if policy.aex {
         // 8 instructions of slack over the declared q, matching the rewriter.
         let mut since: u32 = 0;
-        for (idx, &(offset, _, _)) in ctx.insts.iter().enumerate() {
-            if ctx.starts_at.get(&idx) == Some(&TemplateKind::AexCheck) {
+        for (idx, &(offset, _, _)) in insts.iter().enumerate() {
+            if starts_at.get(&idx) == Some(&TemplateKind::AexCheck) {
                 since = 0;
             }
-            if matches!(ctx.roles[idx], Role::Program | Role::Subject(_)) {
+            if matches!(roles[idx], Role::Program | Role::Subject(_)) {
                 since += 1;
-                if since > ctx.policy.q + 8 {
+                if since > policy.q + 8 {
                     return Err(VerifyError::AexGapExceeded { offset });
                 }
             }
         }
     }
-    Ok(())
+    Ok(Verified { insts: insts.to_vec(), disassembly, instances })
 }
 
 #[cfg(test)]

@@ -3,10 +3,9 @@
 //! Everything here observes facts the untrusted host already witnesses —
 //! the `RunReport` an ECall returns, the profiler arm/collect toggles of
 //! the simulated VM — so it lives outside the counted in-enclave TCB
-//! sources (`table1_tcb`), exactly like the incremental-verification
-//! modules (DESIGN.md §5i/§5j). The runtime itself contains no flight
-//! recording sites; the pool calls [`record_run_report`] at its serve
-//! boundary, and verify-phase events are derived inside the telemetry
+//! sources (`table1_tcb`; DESIGN.md §5j). The runtime itself contains no
+//! flight recording sites; the pool calls [`record_run_report`] at its
+//! serve boundary, and verify-phase events are derived inside the telemetry
 //! crate from the verifier's existing span instrumentation.
 
 use crate::runtime::{BootstrapEnclave, RunReport};

@@ -185,8 +185,8 @@ impl Manifest {
 
     /// Serializes the manifest as canonical JSON — the encoding
     /// [`crate::runtime::manifest_digest`] hashes to bind sealed install
-    /// images and incremental installs to one manifest. Hand-rolled: the
-    /// enclave TCB takes no serialization dependency.
+    /// images to one manifest. Hand-rolled: the enclave TCB takes no
+    /// serialization dependency.
     #[must_use]
     pub fn to_json(&self) -> String {
         let ocalls: Vec<String> = self.allowed_ocalls.iter().map(u8::to_string).collect();

@@ -70,9 +70,6 @@
 //! depend on which worker sealed them, since each worker seals in its own
 //! nonce channel under its own monotonic counter.)
 
-use crate::consumer::incremental::{
-    install_capture_incremental, IncrementalCache, IncrementalStats,
-};
 use crate::policy::Manifest;
 use crate::runtime::{BootstrapEnclave, EcallError, PreparedInstall, RunReport};
 use deflection_crypto::sha256::sha256;
@@ -90,8 +87,7 @@ const DEFAULT_RESPAWN_BUDGET: usize = 8;
 /// Default cap on retained prepared images (see
 /// [`EnclavePool::set_prepared_cap`]). Each retained image may also back
 /// one resident enclave instance per worker slot, so an unbounded cache is
-/// a memory leak on exactly the high-churn fleet workload the pool exists
-/// to serve.
+/// a memory leak on a pool that keeps installing new binaries.
 pub const DEFAULT_PREPARED_CAP: usize = 64;
 
 /// Why [`EnclavePool::export_sealed_for`] could not seal a hash.
@@ -512,9 +508,6 @@ pub struct EnclavePool {
     /// [`EnclavePool::export_sealed_for`] can distinguish "evicted" from
     /// "never installed" instead of failing identically for both.
     evicted: HashSet<[u8; 32]>,
-    /// Per-function verification memo backing
-    /// [`EnclavePool::install_patched`].
-    incremental: IncrementalCache,
 }
 
 impl EnclavePool {
@@ -558,7 +551,6 @@ impl EnclavePool {
             recency: HashMap::new(),
             tick: 0,
             evicted: HashSet::new(),
-            incremental: IncrementalCache::new(),
         }
     }
 
@@ -740,33 +732,28 @@ impl EnclavePool {
     /// worker's.
     pub fn install_all(&mut self, binary: &[u8]) -> Result<[u8; 32], EcallError> {
         let hash = sha256(binary);
-        match self.activate(&hash) {
-            Some(switched) => switched,
-            None => self.install_uncached(hash, |enclave, _| enclave.install_capture(binary)),
+        if let Some(switched) = self.activate(&hash) {
+            return switched;
         }
-    }
-
-    /// Installs a (typically patched) target binary in every worker using
-    /// the pool's **incremental** verification memo: discovery re-runs in
-    /// full, but per-instruction checks and abstract-interpretation
-    /// fixpoints are reused for every function whose captured inputs are
-    /// unchanged since the previous install through this pool. The
-    /// verdict is bit-identical to [`EnclavePool::install_all`] — the
-    /// memo only skips recomputation, never checks (see
-    /// [`crate::consumer::incremental`]). Cache hits, replay, respawn and
-    /// eviction behave exactly as in `install_all`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`EnclavePool::install_all`].
-    pub fn install_patched(&mut self, binary: &[u8]) -> Result<[u8; 32], EcallError> {
-        let hash = sha256(binary);
-        match self.activate(&hash) {
-            Some(switched) => switched,
-            None => self.install_uncached(hash, |enclave, memo| {
-                install_capture_incremental(enclave, binary, memo)
-            }),
-        }
+        // Cache miss: verify once on a fresh instance in the verifying slot
+        // (which makes it that slot's live instance), retain the captured
+        // image, then switch every other slot to it.
+        let tid = TraceId::mint();
+        flightrec::with_trace(tid, || {
+            METRICS.pool_install_cache_misses.add(1);
+            let idx = self.verifying_worker();
+            let EnclavePool { workers, prepared, owner_key, .. } = &mut *self;
+            let p = workers[idx].install_fresh(
+                hash,
+                *owner_key,
+                |h| prepared.contains_key(h),
+                |enclave| enclave.install_capture(binary),
+            )?;
+            self.verifications += 1;
+            self.insert_prepared(hash, p);
+            flightrec::record(EventKind::Install, tid, self.workers.len() as u64, 0);
+            self.switch_all(hash)
+        })
     }
 
     /// Makes the cached image with code hash `hash` the live one in every
@@ -800,36 +787,6 @@ impl EnclavePool {
         }))
     }
 
-    /// The cache-miss install: verify once with `capture` on a fresh
-    /// instance in the verifying slot (which makes it that slot's live
-    /// instance), retain the captured image, then switch every other slot
-    /// to it.
-    fn install_uncached(
-        &mut self,
-        hash: [u8; 32],
-        capture: impl FnOnce(
-            &mut BootstrapEnclave,
-            &mut IncrementalCache,
-        ) -> Result<PreparedInstall, EcallError>,
-    ) -> Result<[u8; 32], EcallError> {
-        let tid = TraceId::mint();
-        flightrec::with_trace(tid, || {
-            METRICS.pool_install_cache_misses.add(1);
-            let idx = self.verifying_worker();
-            let EnclavePool { workers, prepared, incremental, owner_key, .. } = &mut *self;
-            let p = workers[idx].install_fresh(
-                hash,
-                *owner_key,
-                |h| prepared.contains_key(h),
-                |enclave| capture(enclave, incremental),
-            )?;
-            self.verifications += 1;
-            self.insert_prepared(hash, p);
-            flightrec::record(EventKind::Install, tid, self.workers.len() as u64, 0);
-            self.switch_all(hash)
-        })
-    }
-
     /// The worker slot a fresh verifying install runs on: the first
     /// healthy one, or slot 0 rebuilt from scratch when every slot is
     /// quarantined (the full pipeline re-establishes trust).
@@ -842,13 +799,6 @@ impl EnclavePool {
                 0
             }
         }
-    }
-
-    /// Memo outcome of the most recent incremental verification run by
-    /// [`EnclavePool::install_patched`].
-    #[must_use]
-    pub fn incremental_stats(&self) -> IncrementalStats {
-        self.incremental.last_stats()
     }
 
     /// Number of prepared images currently retained (bounded by
@@ -1543,11 +1493,11 @@ mod tests {
     fn churn_preserves_nonce_channels_and_audit_seqs() {
         use crate::audit::open_audit_export;
         use crate::runtime::open_record;
-        // High-churn fleet shape: install A, serve, hot-patch to B, serve,
-        // lose a worker mid-way. The per-slot nonce channels must stay
-        // monotonic across the image swap (a reset would repeat a
-        // (key, nonce) pair) and the audit sequence counters must never
-        // regress (a regression would let the host replay an old export).
+        // Churn shape: install A, serve, swap to B, serve, lose a worker
+        // mid-way. The per-slot nonce channels must stay monotonic across
+        // the image swap (a reset would repeat a (key, nonce) pair) and the
+        // audit sequence counters must never regress (a regression would
+        // let the host replay an old export).
         let mut manifest = Manifest::ccaas();
         manifest.policy = PolicySet::p1();
         let layout = EnclaveLayout::new(MemConfig::small());
@@ -1563,8 +1513,8 @@ mod tests {
         assert!(open_record(&owner_key, 1, 0, &r.records[0]).is_ok());
         let seqs_after_a: Vec<u64> =
             pool.workers.iter().map(|w| w.enclave.audit_next_seq()).collect();
-        // Image swap through the incremental path.
-        pool.install_patched(&b).unwrap();
+        // Image swap: B is a cache miss, so it verifies on a fresh instance.
+        pool.install_all(&b).unwrap();
         let seqs_after_b: Vec<u64> =
             pool.workers.iter().map(|w| w.enclave.audit_next_seq()).collect();
         for (before, after) in seqs_after_a.iter().zip(&seqs_after_b) {
@@ -1591,8 +1541,8 @@ mod tests {
         assert!(log.next_seq > seqs_after_b[1], "the respawn's install is logged");
         let seqs: Vec<u64> = log.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (0..log.next_seq).collect::<Vec<_>>(), "contiguous, no reuse");
-        // Both prepared images are retained (cap 64 untouched), and the
-        // verification count shows one full + one incremental verify.
+        // Both prepared images are retained (cap 64 untouched), and each
+        // was verified exactly once.
         assert_eq!(pool.prepared_cache_len(), 2);
         assert_eq!(pool.verification_count(), 2);
     }
@@ -1730,36 +1680,6 @@ mod tests {
         let total = (layout.elrange.len() / deflection_sgx_sim::layout::PAGE_SIZE) as usize;
         assert!(prepared.mem.enclave_pages() <= 8, "{} of {total}", prepared.mem.enclave_pages());
         assert_eq!(prepared.mem.untrusted_pages(), 0);
-    }
-
-    #[test]
-    fn patched_install_reuses_unchanged_functions() {
-        // Two-function program where only `leaf` changes: the pool's memo
-        // must replay `main`'s checks and re-verify only `leaf`.
-        let src = |k: u64| {
-            format!(
-                "
-                var g: [int; 4];
-                fn leaf(x: int) -> int {{ g[0] = x; return g[0] + {k}; }}
-                fn main() -> int {{ return leaf(2); }}
-                "
-            )
-        };
-        let mut manifest = Manifest::ccaas();
-        manifest.policy = PolicySet::full();
-        let layout = EnclaveLayout::new(MemConfig::small());
-        let mut pool = EnclavePool::new(&layout, &manifest, 1);
-        let a = produce(&src(1), &manifest.policy).unwrap().serialize();
-        let b = produce(&src(2), &manifest.policy).unwrap().serialize();
-        pool.install_patched(&a).unwrap();
-        let cold = pool.incremental_stats();
-        assert_eq!(cold.hits, 0);
-        assert!(cold.misses >= 2, "every function is a first sight");
-        pool.install_patched(&b).unwrap();
-        let warm = pool.incremental_stats();
-        assert!(warm.hits >= 1, "unchanged functions replay from the memo");
-        assert_eq!(warm.hits + warm.misses + warm.invalidated, cold.misses);
-        assert_eq!(pool.serve_on(0, b"", 1_000_000).unwrap().exit.exit_value(), Some(4));
     }
 
     #[test]

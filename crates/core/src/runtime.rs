@@ -1346,8 +1346,8 @@ mod tests {
 
     #[test]
     fn manifest_digest_covers_every_field() {
-        // The digest binds sealed images and incremental installs to one
-        // manifest, so `to_json` must encode every field. No `..` rest
+        // The digest binds sealed images to one manifest, so `to_json`
+        // must encode every field. No `..` rest
         // pattern: a field added to `Manifest` or `PolicySet` stops this
         // test compiling until a variant below changes it.
         let base = Manifest::ccaas();

@@ -535,13 +535,6 @@ pub struct Metrics {
     pub verify_checks_ns: Histogram,
     pub verify_accepts: Counter,
     pub verify_rejects: Counter,
-    /// Incremental re-verification memo outcomes, bumped once per
-    /// `verify_incremental` call on the host-side install path (never from
-    /// inside a check phase), so the counter plane leaks no more than the
-    /// install timing the host already observes.
-    pub verify_memo_hits: Counter,
-    pub verify_memo_misses: Counter,
-    pub verify_memo_invalidated: Counter,
     // -- abstract interpreter (guard elision) ------------------------------
     pub analysis_run_ns: Histogram,
     pub analysis_fixpoint_iters: Histogram,
@@ -652,12 +645,6 @@ impl Metrics {
             verify_checks_ns: Histogram::new("deflection_verify_ns", r#"phase="checks""#),
             verify_accepts: Counter::new("deflection_verify_total", r#"verdict="accept""#),
             verify_rejects: Counter::new("deflection_verify_total", r#"verdict="reject""#),
-            verify_memo_hits: Counter::new("deflection_verify_memo_total", r#"result="hit""#),
-            verify_memo_misses: Counter::new("deflection_verify_memo_total", r#"result="miss""#),
-            verify_memo_invalidated: Counter::new(
-                "deflection_verify_memo_total",
-                r#"result="invalidated""#,
-            ),
             analysis_run_ns: Histogram::new("deflection_analysis_run_ns", ""),
             analysis_fixpoint_iters: Histogram::new("deflection_analysis_fixpoint_iters", ""),
             analysis_widenings: Histogram::new("deflection_analysis_widenings", ""),
@@ -777,7 +764,7 @@ impl Metrics {
         ]
     }
 
-    fn more_counters(&self) -> [&Counter; 21] {
+    fn more_counters(&self) -> [&Counter; 18] {
         [
             &self.admission_enqueued,
             &self.admission_admitted,
@@ -796,9 +783,6 @@ impl Metrics {
             &self.producer_opt_loop_bound,
             &self.producer_opt_addr_canon,
             &self.producer_opt_dce,
-            &self.verify_memo_hits,
-            &self.verify_memo_misses,
-            &self.verify_memo_invalidated,
             &self.pool_prepared_evictions,
         ]
     }

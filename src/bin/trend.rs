@@ -9,7 +9,8 @@
 //! *previous* directory (default `.`, the committed repo-root series), plus
 //! any `METRICS_*.json` collector snapshots next to the current series, and
 //! prints a markdown trend table. With `--enforce`, exits 1 when any
-//! enforceable measurement regressed past the threshold (default 25%).
+//! enforceable measurement regressed past the threshold (default 25%), or
+//! when a previous bench has no current series.
 
 use deflection::trend::{parse_bench_file, parse_metrics_snapshot, BenchFile, TrendReport};
 use std::path::Path;
@@ -107,7 +108,7 @@ fn main() -> ExitCode {
     print!("{md}");
     if report.has_regression() {
         eprintln!(
-            "trend: regression past +{threshold:.0}% detected{}",
+            "trend: regression past +{threshold:.0}% or a baseline without its bench{}",
             if enforce { "" } else { " (report-only; pass --enforce to gate)" }
         );
         if enforce {

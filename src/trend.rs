@@ -213,7 +213,8 @@ pub fn parse_metrics_snapshot(text: &str) -> MetricsFile {
 }
 
 /// One row of the trend table: a measurement matched (by bench name and
-/// measurement id) between the previous and current series.
+/// measurement id) between the previous and current series, or a previous
+/// bench with no current series at all.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendRow {
     /// Bench name.
@@ -222,14 +223,16 @@ pub struct TrendRow {
     pub id: String,
     /// Previous mean in nanoseconds (`None` for a new measurement).
     pub prev_ns: Option<f64>,
-    /// Current mean in nanoseconds.
-    pub curr_ns: f64,
+    /// Current mean in nanoseconds (`None` for a bench that no longer
+    /// emits a series).
+    pub curr_ns: Option<f64>,
     /// Percent delta vs. previous (positive = slower), when comparable.
     pub delta_pct: Option<f64>,
     /// Whether this row exceeded the regression threshold *and* was
-    /// eligible for enforcement (comparable host stamps, not core-gated).
+    /// eligible for enforcement (comparable host stamps, not core-gated),
+    /// or is a baseline whose bench is gone.
     pub regressed: bool,
-    /// Human-readable annotation (core gating, host mismatch, new).
+    /// Human-readable annotation (core gating, host mismatch, new, gone).
     pub note: String,
 }
 
@@ -264,7 +267,8 @@ pub struct TailRow {
 /// The full trend comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendReport {
-    /// Matched rows, in current-series order.
+    /// Matched rows in current-series order, then one row per previous
+    /// bench missing from the current series.
     pub rows: Vec<TrendRow>,
     /// Tail-latency rows (populated by [`TrendReport::attach_tails`]).
     pub tails: Vec<TailRow>,
@@ -281,6 +285,10 @@ impl TrendReport {
     /// ≥4-core-gated benches ([`CORE_GATED_BENCHES`]) are additionally
     /// exempt when either side ran with fewer than four cores, and noted
     /// as such.
+    ///
+    /// A previous bench with no current file is one row that always
+    /// counts as a regression: a committed baseline whose bench was
+    /// deleted would otherwise drop out of gating without notice.
     #[must_use]
     pub fn build(current: &[BenchFile], previous: &[BenchFile], threshold_pct: f64) -> TrendReport {
         let prev_of = |bench: &str, id: &str| -> Option<(&BenchFile, &Measurement)> {
@@ -324,12 +332,23 @@ impl TrendReport {
                     bench: file.bench.clone(),
                     id: m.id.clone(),
                     prev_ns,
-                    curr_ns: m.mean_ns as f64,
+                    curr_ns: Some(m.mean_ns as f64),
                     delta_pct,
                     regressed,
                     note,
                 });
             }
+        }
+        for file in previous.iter().filter(|p| current.iter().all(|c| c.bench != p.bench)) {
+            rows.push(TrendRow {
+                bench: file.bench.clone(),
+                id: format!("{} measurements", file.measurements.len()),
+                prev_ns: None,
+                curr_ns: None,
+                delta_pct: None,
+                regressed: true,
+                note: format!("no current series: delete BENCH_{}.json with its bench", file.bench),
+            });
         }
         TrendReport { rows, tails: Vec::new(), threshold_pct }
     }
@@ -449,7 +468,7 @@ impl TrendReport {
                 r.bench,
                 r.id,
                 prev,
-                fmt_ns(r.curr_ns),
+                r.curr_ns.map_or_else(|| "—".into(), fmt_ns),
                 delta,
                 mark,
                 r.note
@@ -617,15 +636,23 @@ mod tests {
     }
 
     #[test]
-    fn incremental_bench_enforces_even_on_one_core() {
-        // Both sides of the incremental ablation are single-threaded (the
-        // incremental verifier is serial by design and is compared against
-        // the serial verifier), so it must never join CORE_GATED_BENCHES:
-        // a 1-core CI host still gates on its trend.
-        assert!(!CORE_GATED_BENCHES.contains(&"ablation_incremental"));
-        let prev = [file("ablation_incremental", Some(1), "incremental/patch_warm", 1_000_000)];
-        let slow = [file("ablation_incremental", Some(1), "incremental/patch_warm", 9_000_000)];
-        assert!(TrendReport::build(&slow, &prev, 25.0).has_regression());
+    fn baseline_without_a_bench_fails_enforcement() {
+        // A committed BENCH file whose bench was deleted shows up as one
+        // row and gates, instead of silently leaving the comparison.
+        let prev = [
+            file("ablation_icache", Some(1), "icache/numeric_sort/traced", 1_000_000),
+            file("ablation_retired", Some(1), "retired/row", 1_000_000),
+        ];
+        let curr = [file("ablation_icache", Some(1), "icache/numeric_sort/traced", 1_000_000)];
+        let report = TrendReport::build(&curr, &prev, 25.0);
+        assert!(report.has_regression());
+        assert_eq!(report.rows.len(), 2);
+        let gone = &report.rows[1];
+        assert_eq!((gone.bench.as_str(), gone.curr_ns), ("ablation_retired", None));
+        assert!(gone.regressed && gone.note.contains("BENCH_ablation_retired.json"));
+        assert!(report.to_markdown(&[]).contains("| ablation_retired | 1 measurements | — | — |"));
+        // Same series on both sides: nothing to flag.
+        assert!(!TrendReport::build(&curr, &curr, 25.0).has_regression());
     }
 
     #[test]

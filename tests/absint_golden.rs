@@ -7,8 +7,7 @@
 //! edges. The SHA-256 of that rendering, per program, must equal the line
 //! in the committed `tests/absint_golden.txt`.
 //!
-//! Producer, self-verify, in-enclave verifier and the incremental memo all
-//! share one engine, and `PRECISION.json` counts only proven guards, so
+//! Producer, self-verify and in-enclave verifier all share one engine, and `PRECISION.json` counts only proven guards, so
 //! this is the oracle that pins the analysis answers themselves: an
 //! engine change that claims to keep every proof must leave the file
 //! untouched. A deliberate precision change regenerates the file (the
