@@ -39,8 +39,6 @@ use crate::interval::Interval;
 use deflection_isa::{AluOp, CondCode, Disassembly, Inst, MemOperand, Reg};
 use deflection_telemetry::{Span, METRICS};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 const RSP: usize = Reg::RSP as usize;
 const RBP: usize = Reg::RBP as usize;
@@ -558,25 +556,12 @@ pub struct Analysis {
 impl Analysis {
     /// Runs the fixpoint over a disassembly.
     ///
-    /// Equivalent to [`Analysis::run_threaded`] with one thread; this is
-    /// the TCB-counted default the verifier uses.
+    /// The analysis is *function-modular*: a cheap pre-pass propagates
+    /// only the projected `rsp`/`rbp` state across call and indirect
+    /// edges, then each function's interval fixpoint runs on its own,
+    /// seeded from the pre-pass at every cut edge.
     #[must_use]
     pub fn run(d: &Disassembly, config: AnalysisConfig) -> Analysis {
-        Self::run_threaded(d, config, 1)
-    }
-
-    /// Runs the analysis with the per-function fixpoints sharded across up
-    /// to `threads` worker threads.
-    ///
-    /// The analysis is *function-modular*: a cheap serial pre-pass
-    /// propagates only the projected `rsp`/`rbp` state across call and
-    /// indirect edges, then each function's interval fixpoint runs
-    /// independently, seeded from the pre-pass at every cut edge. The
-    /// per-function problems share no mutable state, so the result is
-    /// identical — block for block — for every thread count; `threads`
-    /// only changes how the independent fixpoints are scheduled.
-    #[must_use]
-    pub fn run_threaded(d: &Disassembly, config: AnalysisConfig, threads: usize) -> Analysis {
         let _span = Span::start(&METRICS.analysis_run_ns);
         let cfg = Cfg::build(d);
         let idom = cfg.dominators();
@@ -610,19 +595,19 @@ impl Analysis {
         }
 
         // Stack-balance pre-analysis: which callees provably restore
-        // `rsp`/`rbp` on every return. Runs first (serially) so both the
+        // `rsp`/`rbp` on every return. Runs first so both the
         // projected pre-pass and the per-group fixpoints can keep the
         // caller's frame pointer alive across calls to proven callees.
         let balanced =
             balanced_entries(&cfg, &idom, entries, &group_of, &members, &seeded, &config);
 
-        // Serial pre-pass: whole-program fixpoint over states projected to
+        // Pre-pass: whole-program fixpoint over states projected to
         // rsp/rbp at block boundaries — cheap, and exactly what a callee
         // inherits across a call edge that the verifier can rely on (the
         // paper's P2 window argument needs the stack depth, nothing else).
         let prepass = projected_fixpoint(&cfg, &idom, &config, &balanced);
 
-        // Independent per-group fixpoints, scheduled across threads.
+        // Independent per-group fixpoints.
         let ctx = GroupCtx {
             cfg: &cfg,
             idom: &idom,
@@ -632,12 +617,10 @@ impl Analysis {
             prepass: &prepass,
             balanced: &balanced,
         };
-        let results = run_group_fixpoints(&ctx, &members, threads);
-
-        // Deterministic assembly: every block belongs to exactly one group.
+        // Every block belongs to exactly one group.
         let mut in_states: Vec<Option<AbsState>> = vec![None; n];
-        for group in results {
-            for (b, s) in group {
+        for group in &members {
+            for (b, s) in group_fixpoint(&ctx, group) {
                 in_states[b] = Some(s);
             }
         }
@@ -954,10 +937,11 @@ struct GroupCtx<'a> {
 /// Cut edges are skipped; their effect is folded into the fixed seeds,
 /// so the iteration never reads state produced by another group — the
 /// per-group problems are independent and the result cannot depend on
-/// scheduling. Termination is the standard widening argument: the
-/// seeds never change during the loop, and the global dominator tree
-/// still identifies this group's back edges (dominance restricted to a
-/// subgraph that contains the dominator paths is unchanged).
+/// the order groups are solved in. Termination is the standard widening
+/// argument: the seeds never change during the loop, and the global
+/// dominator tree still identifies this group's back edges (dominance
+/// restricted to a subgraph that contains the dominator paths is
+/// unchanged).
 fn group_fixpoint(ctx: &GroupCtx<'_>, members: &[usize]) -> Vec<(usize, AbsState)> {
     let local = |b: usize| members.binary_search(&b).expect("edge target in group");
     let m = members.len();
@@ -1064,36 +1048,6 @@ fn group_fixpoint(ctx: &GroupCtx<'_>, members: &[usize]) -> Vec<(usize, AbsState
     METRICS.analysis_widenings.observe(widens);
     METRICS.absint_narrowings.observe(narrows);
     members.iter().zip(in_states).filter_map(|(&b, s)| s.map(|s| (b, s))).collect()
-}
-
-/// Schedules the independent group fixpoints over `threads` workers.
-/// Work-claiming order (largest group first) affects only wall-clock;
-/// each group's result is computed in isolation, so the collected set
-/// is identical for every schedule.
-fn run_group_fixpoints(
-    ctx: &GroupCtx<'_>,
-    members: &[Vec<usize>],
-    threads: usize,
-) -> Vec<Vec<(usize, AbsState)>> {
-    let workers = threads.min(members.len());
-    if workers <= 1 {
-        return members.iter().map(|m| group_fixpoint(ctx, m)).collect();
-    }
-    let mut order: Vec<usize> = (0..members.len()).collect();
-    order.sort_by_key(|&g| std::cmp::Reverse(members[g].len()));
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Vec<(usize, AbsState)>>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&g) = order.get(i) else { break };
-                let r = group_fixpoint(ctx, &members[g]);
-                results.lock().expect("group results lock").push(r);
-            });
-        }
-    });
-    results.into_inner().expect("group results lock")
 }
 
 /// Applies the branch condition `cond` to the out-state.
@@ -1708,17 +1662,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_analysis_is_identical_to_serial() {
-        let code = sample_program();
-        let d = disassemble(&code, 0, &[]).unwrap();
-        let base = Analysis::run_threaded(&d, config(), 1);
-        for threads in [2, 4, 8] {
-            let a = Analysis::run_threaded(&d, config(), threads);
-            assert_eq!(base.in_states, a.in_states, "in-states diverged at threads={threads}");
-        }
-    }
-
-    #[test]
     fn modular_analysis_keeps_elision_relevant_precision() {
         let code = sample_program();
         let d = disassemble(&code, 0, &[]).unwrap();
@@ -1791,10 +1734,6 @@ mod tests {
         assert_eq!(a.concrete_range(rax), Some((8, 8)));
         let store_off = insts[f_first + 14].0;
         assert!(a.store_safe(store_off), "post-loop store must prove in-window");
-        // The fix must hold identically under the threaded fixpoint.
-        let serial = Analysis::run_threaded(&d, config(), 1);
-        let threaded = Analysis::run_threaded(&d, config(), 4);
-        assert_eq!(serial.in_states, threaded.in_states);
     }
 
     /// Difference-bound transfer: `i < n` recorded as a relational fact
@@ -1845,9 +1784,6 @@ mod tests {
             a.store_safe(store_off),
             "i in [0,62] via the relational fact puts base+8*i inside the window"
         );
-        let serial = Analysis::run_threaded(&d, config(), 1);
-        let threaded = Analysis::run_threaded(&d, config(), 4);
-        assert_eq!(serial.in_states, threaded.in_states);
     }
 
     /// A callee that leaks stack depth (push without pop before `Ret`)

@@ -5,7 +5,7 @@
 //! **trace dispatch is at least 3× faster than the reference interpreter
 //! on at least one kernel**.
 //!
-//! Unlike the parallel-verify and pool-resilience ablations, this speedup
+//! Unlike the pool-resilience ablation, this speedup
 //! is single-threaded, so the assertion carries **no core-count gate** —
 //! it is enforceable by the trend gate on any host, including 1-core CI
 //! containers.

@@ -8,33 +8,20 @@
 //! instruction carries its annotation and that no control flow can skip an
 //! annotation. Any failure rejects the binary — the verifier never repairs.
 //!
-//! # Threading model
-//!
-//! [`verify_with_layout_threaded`] shards the expensive per-function
-//! work — the structural checks here and the abstract interpretation in
-//! [`deflection_analysis`] — across worker threads at function-entry
-//! granularity. Frontier discovery and greedy template discovery stay
-//! serial (cheap, order-sensitive); each worker then scans one function
-//! over the *same immutable* disassembly, roles and instance tables, and
-//! records the first error per check phase. A deterministic merge reports,
-//! for the earliest failing phase, the error with the lowest instruction
-//! index — exactly what the serial ascending scan returns — so the verdict
-//! is bit-identical for every thread count. All of this runs over the
-//! enclave's private pre-mapped copy of the binary, so parallelism adds no
-//! TOCTOU surface; see `DESIGN.md` for the full argument.
+//! Verification runs on one thread, over the enclave's private pre-mapped
+//! copy of the binary.
 
 use crate::annotations::{
     elision_analysis_config, is_exempt_frame_store, match_any, Code, Instance, TemplateKind,
 };
 use crate::policy::PolicySet;
 use deflection_analysis::Analysis;
-use deflection_isa::{disassemble_threaded, DisasmError, Disassembly, Inst, Reg};
+use deflection_isa::{disassemble, DisasmError, Disassembly, Inst, Reg};
 use deflection_sgx_sim::layout::EnclaveLayout;
 use deflection_telemetry::{Span, METRICS};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// Why a binary was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,7 +172,7 @@ pub fn verify(
     indirect_targets: &[usize],
     policy: &PolicySet,
 ) -> Result<Verified, VerifyError> {
-    verify_impl(code, entry, indirect_targets, policy, None, 1)
+    verify_impl(code, entry, indirect_targets, policy, None)
 }
 
 /// Verifies like [`verify`], additionally accepting guard-elided binaries
@@ -211,29 +198,7 @@ pub fn verify_with_layout(
     policy: &PolicySet,
     layout: &EnclaveLayout,
 ) -> Result<Verified, VerifyError> {
-    verify_impl(code, entry, indirect_targets, policy, Some(layout), 1)
-}
-
-/// Verifies like [`verify_with_layout`] with the per-function work
-/// sharded across up to `threads` worker threads.
-///
-/// The verdict — acceptance or the exact [`VerifyError`] — is identical
-/// to the single-threaded run for every thread count; see the module docs
-/// on the threading model. `threads <= 1` runs the plain serial pipeline
-/// with no thread machinery at all.
-///
-/// # Errors
-///
-/// Same contract as [`verify`].
-pub fn verify_with_layout_threaded(
-    code: &[u8],
-    entry: usize,
-    indirect_targets: &[usize],
-    policy: &PolicySet,
-    layout: &EnclaveLayout,
-    threads: usize,
-) -> Result<Verified, VerifyError> {
-    verify_impl(code, entry, indirect_targets, policy, Some(layout), threads)
+    verify_impl(code, entry, indirect_targets, policy, Some(layout))
 }
 
 /// Back-to-back P2 elision: an explicit `rsp` write needs no guard of its
@@ -251,7 +216,7 @@ fn rsp_chain_ok(insts: &[(usize, Inst, usize)], roles: &[Role], idx: usize) -> b
     })
 }
 
-/// Read-only inputs shared by every per-function check worker.
+/// Read-only inputs shared by every per-function range check.
 struct CheckCtx<'a> {
     insts: &'a [(usize, Inst, usize)],
     roles: &'a [Role],
@@ -260,8 +225,7 @@ struct CheckCtx<'a> {
     d: &'a Disassembly,
     policy: &'a PolicySet,
     elide: Option<&'a EnclaveLayout>,
-    analysis: &'a OnceLock<Analysis>,
-    threads: usize,
+    analysis: &'a OnceCell<Analysis>,
 }
 
 impl CheckCtx<'_> {
@@ -272,14 +236,10 @@ impl CheckCtx<'_> {
         }
     }
 
-    /// The shared elision analysis, built on first demand. `OnceLock`
-    /// runs the initializer exactly once even under contention, and the
-    /// analysis value itself is thread-count independent, so every
-    /// worker observes the same proofs.
+    /// The elision analysis, built on first demand and then shared by
+    /// every later range check.
     fn analysis(&self, l: &EnclaveLayout) -> &Analysis {
-        self.analysis.get_or_init(|| {
-            Analysis::run_threaded(self.d, elision_analysis_config(l), self.threads)
-        })
+        self.analysis.get_or_init(|| Analysis::run(self.d, elision_analysis_config(l)))
     }
 }
 
@@ -297,8 +257,7 @@ struct RangeErrors {
 
 /// Scans instructions `[lo, hi)` — one function — recording the first
 /// error of each instruction-independent phase. Scanning ascending means
-/// the recorded error per phase is the range's lowest-index one; every
-/// check reads only immutable shared state, so ranges are independent.
+/// the recorded error per phase is the range's lowest-index one.
 fn check_range(ctx: &CheckCtx<'_>, lo: usize, hi: usize) -> RangeErrors {
     let mut out = RangeErrors::default();
     for idx in lo..hi {
@@ -348,8 +307,7 @@ fn check_range(ctx: &CheckCtx<'_>, lo: usize, hi: usize) -> RangeErrors {
 }
 
 /// The per-policy structural rules for one instruction, in the fixed
-/// intra-instruction order (store, rsp, indirect branch, ret) the serial
-/// verifier has always used.
+/// intra-instruction order (store, rsp, indirect branch, ret).
 fn policy_check_inst(
     ctx: &CheckCtx<'_>,
     idx: usize,
@@ -406,33 +364,10 @@ fn policy_check_inst(
     }
 }
 
-/// Runs [`check_range`] over every function range, work-claimed across
-/// `threads` workers. The collected set is schedule-independent (each
-/// range's result is a pure function of shared immutable state), so the
-/// caller's min-key merge sees identical inputs for every thread count.
-fn run_range_checks(
-    ctx: &CheckCtx<'_>,
-    ranges: &[(usize, usize)],
-    threads: usize,
-) -> Vec<RangeErrors> {
+/// Runs [`check_range`] over every function range, in address order.
+fn run_range_checks(ctx: &CheckCtx<'_>, ranges: &[(usize, usize)]) -> Vec<RangeErrors> {
     let _span = Span::start(&METRICS.verify_checks_ns);
-    let workers = threads.min(ranges.len());
-    if workers <= 1 {
-        return ranges.iter().map(|&(lo, hi)| check_range(ctx, lo, hi)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<RangeErrors>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(lo, hi)) = ranges.get(i) else { break };
-                let r = check_range(ctx, lo, hi);
-                results.lock().expect("range results lock").push(r);
-            });
-        }
-    });
-    results.into_inner().expect("range results lock")
+    ranges.iter().map(|&(lo, hi)| check_range(ctx, lo, hi)).collect()
 }
 
 /// Output of the discovery prefix of verification: disassembly, greedily
@@ -447,19 +382,17 @@ struct Discovery {
 /// The discovery prefix shared by [`verify_impl`] and [`discover`]: the
 /// recursive-descent disassembly followed by the greedy template scan.
 ///
-/// Template discovery is deliberately serial: the greedy scan is
-/// order-sensitive (a match consumes its instructions before the next
-/// candidate is considered) and costs a small fraction of verification.
-/// Everything downstream only reads its output.
+/// The greedy scan is order-sensitive: a match consumes its instructions
+/// before the next candidate is considered. Everything downstream only
+/// reads its output.
 fn discover_impl(
     code: &[u8],
     entry: usize,
     indirect_targets: &[usize],
-    threads: usize,
 ) -> Result<Discovery, VerifyError> {
     let disassembly = {
         let _span = Span::start(&METRICS.verify_disasm_ns);
-        disassemble_threaded(code, entry, indirect_targets, threads)?
+        disassemble(code, entry, indirect_targets)?
     };
     let _span = Span::start(&METRICS.verify_discovery_ns);
     let insts = disassembly.insts();
@@ -507,7 +440,7 @@ pub fn discover(
     entry: usize,
     indirect_targets: &[usize],
 ) -> Result<Verified, VerifyError> {
-    let d = discover_impl(code, entry, indirect_targets, 1)?;
+    let d = discover_impl(code, entry, indirect_targets)?;
     let insts = d.disassembly.insts().to_vec();
     Ok(Verified { disassembly: d.disassembly, insts, instances: d.instances })
 }
@@ -518,10 +451,9 @@ fn verify_impl(
     indirect_targets: &[usize],
     policy: &PolicySet,
     layout: Option<&EnclaveLayout>,
-    threads: usize,
 ) -> Result<Verified, VerifyError> {
     let _span = Span::start(&METRICS.verify_ns);
-    let result = verify_inner(code, entry, indirect_targets, policy, layout, threads);
+    let result = verify_inner(code, entry, indirect_targets, policy, layout);
     match &result {
         Ok(_) => METRICS.verify_accepts.add(1),
         Err(_) => METRICS.verify_rejects.add(1),
@@ -535,10 +467,8 @@ fn verify_inner(
     indirect_targets: &[usize],
     policy: &PolicySet,
     layout: Option<&EnclaveLayout>,
-    threads: usize,
 ) -> Result<Verified, VerifyError> {
-    let Discovery { disassembly, roles, instances } =
-        discover_impl(code, entry, indirect_targets, threads)?;
+    let Discovery { disassembly, roles, instances } = discover_impl(code, entry, indirect_targets)?;
     let insts = disassembly.insts();
 
     // Instance-start index → kind, for O(1) rule lookups.
@@ -555,7 +485,7 @@ fn verify_inner(
     // The abstract interpretation is only paid for when an unguarded site is
     // actually encountered; fully instrumented binaries verify at the same
     // cost as under the strict rules.
-    let analysis: OnceLock<Analysis> = OnceLock::new();
+    let analysis: OnceCell<Analysis> = OnceCell::new();
     let ctx = CheckCtx {
         insts,
         roles: &roles,
@@ -565,17 +495,14 @@ fn verify_inner(
         policy,
         elide,
         analysis: &analysis,
-        threads,
     };
 
-    // --- Sharded pass: instruction-independent phases, per function. ------
-    // Each worker scans one function's instructions and records the first
-    // error per phase. The merge below picks, within each phase, the error
-    // with the lowest instruction index — exactly the error a serial
-    // ascending scan would have returned first — so the verdict cannot
-    // depend on thread timing.
+    // --- Instruction-independent phases, one pass per function. -----------
+    // Each range check records the first error per phase; the merge below
+    // picks, within each phase, the error with the lowest instruction
+    // index, so phases report in the fixed order that follows.
     let ranges = disassembly.function_ranges();
-    let results = run_range_checks(&ctx, &ranges, threads);
+    let results = run_range_checks(&ctx, &ranges);
     let min_of = |pick: fn(&RangeErrors) -> Option<&(usize, VerifyError)>| {
         results.iter().filter_map(pick).min_by_key(|(k, _)| *k).map(|(_, e)| e.clone())
     };

@@ -65,8 +65,9 @@
 //! 1-worker pool serves a batch with no thread created. Request *outcomes* stay
 //! schedule-independent — serving is deterministic per request, a lost
 //! request is retried on a fresh or different worker with an identical
-//! result, and the documented lowest-request-index error rule is enforced
-//! by `merge_results` after all threads join. (Record *ciphertexts* do
+//! result, and `merge_results` puts the outcomes back in request order
+//! after all threads join, so collecting them keeps the documented
+//! lowest-request-index error rule. (Record *ciphertexts* do
 //! depend on which worker sealed them, since each worker seals in its own
 //! nonce channel under its own monotonic counter.)
 
@@ -1086,16 +1087,9 @@ impl EnclavePool {
             }
             slots.push(retried);
         }
-        // Flatten per-worker batches into request order. Every index has
-        // exactly one outcome: the stranded pass above filled any gap.
-        let mut by_request: Vec<Option<Result<RunReport, EcallError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        for batch in slots {
-            for (i, result) in batch {
-                by_request[i] = Some(result);
-            }
-        }
-        by_request.into_iter().map(|r| r.expect("every request served")).collect()
+        // Every index has exactly one outcome: the stranded pass above
+        // filled any gap.
+        merge_results(requests.len(), slots)
     }
 
     /// The pre-work-stealing scheduler: request `i` runs on worker
@@ -1154,7 +1148,8 @@ impl EnclavePool {
             }
             out
         });
-        merge_results(requests.len(), slots)
+        // Collecting short-circuits at the first `Err` in request order.
+        merge_results(requests.len(), slots).into_iter().collect()
     }
 }
 
@@ -1178,14 +1173,15 @@ fn fan_out<I: Send, R: Send>(
     })
 }
 
-/// Flattens per-worker result batches into request order. On failure the
-/// returned error is the one at the lowest request index — a pure
-/// function of the per-request outcomes, not of which worker thread
-/// finished (or was collected) first.
+/// Flattens per-worker result batches into request order, so the
+/// per-request outcomes — and with them the lowest-request-index error a
+/// caller collects — are a pure function of what each request returned,
+/// not of which worker thread finished (or was collected) first. Every
+/// index in `0..request_count` must appear in exactly one batch.
 fn merge_results(
     request_count: usize,
     slots: Vec<Vec<(usize, Result<RunReport, EcallError>)>>,
-) -> Result<Vec<RunReport>, EcallError> {
+) -> Vec<Result<RunReport, EcallError>> {
     let mut by_request: Vec<Option<Result<RunReport, EcallError>>> =
         (0..request_count).map(|_| None).collect();
     for batch in slots {
@@ -1193,11 +1189,7 @@ fn merge_results(
             by_request[i] = Some(result);
         }
     }
-    let mut reports = Vec::with_capacity(request_count);
-    for r in by_request {
-        reports.push(r.expect("every request served")?);
-    }
-    Ok(reports)
+    by_request.into_iter().map(|r| r.expect("every request served")).collect()
 }
 
 #[cfg(test)]
@@ -1446,7 +1438,7 @@ mod tests {
             vec![(0, ok()), (2, Err(EcallError::NoRoomForIo))],
             vec![(1, Err(EcallError::NotInstalled)), (3, ok())],
         ];
-        let err = merge_results(4, slots).unwrap_err();
+        let err = merge_results(4, slots).into_iter().collect::<Result<Vec<_>, _>>().unwrap_err();
         assert_eq!(err, EcallError::NotInstalled);
     }
 

@@ -205,7 +205,7 @@ pub enum StepKind {
 /// Validates the instruction at `offset` and classifies its control flow,
 /// without materialising an [`Inst`].
 ///
-/// This is the cheap half of [`decode`] used by the disassembler's serial
+/// This is the cheap half of [`decode`] used by the disassembler's
 /// frontier walk: it performs *exactly* the same operand validation, in the
 /// same byte order, so it succeeds iff `decode` succeeds, returns the same
 /// length, and fails with the identical [`DecodeError`].

@@ -9,19 +9,15 @@
 //! instruction overlap (a branch into the *middle* of an instruction —
 //! the classic way to skip an annotation) are all hard errors.
 //!
-//! The work is split into two phases so that the expensive half can use
-//! multiple cores without changing the verdict:
+//! The work runs in two phases:
 //!
-//! 1. a **serial frontier walk** over [`crate::decode_step`] discovers every
+//! 1. a **frontier walk** over [`crate::decode_step`] discovers every
 //!    reachable instruction boundary, validates each encoding and records
 //!    function entries (the program entry, the indirect-branch targets, and
-//!    every direct call target) — this phase is order-sensitive and performs
-//!    *all* fail-closed checks;
-//! 2. **materialisation** re-decodes each validated boundary into a full
-//!    [`Inst`]; the boundaries are independent, so
-//!    [`disassemble_threaded`] shards them across worker threads. The result
-//!    is assembled into pre-assigned slots, so it is byte-identical to the
-//!    serial order for any thread count.
+//!    every direct call target) — this phase performs *all* fail-closed
+//!    checks;
+//! 2. **materialisation** re-decodes each validated boundary, in address
+//!    order, into a full [`Inst`].
 
 use crate::{decode, decode_step, DecodeError, Inst, StepKind};
 use std::collections::VecDeque;
@@ -177,10 +173,10 @@ impl Disassembly {
     /// Function entry offsets — the program entry, every indirect-branch
     /// target and every direct call target — sorted ascending.
     ///
-    /// These are the shard boundaries for parallel verification: every
-    /// instruction belongs to the function of the closest entry at or below
-    /// its offset (instructions below the first entry join the first
-    /// function).
+    /// These split the program into the functions the verifier checks and
+    /// the analysis solves one at a time: every instruction belongs to the
+    /// function of the closest entry at or below its offset (instructions
+    /// below the first entry join the first function).
     #[must_use]
     pub fn function_entries(&self) -> &[usize] {
         &self.function_entries
@@ -312,10 +308,10 @@ const FREE: u8 = 0;
 const START: u8 = 1;
 const INTERIOR: u8 = 2;
 
-/// Phase 1: the serial recursive-descent walk. Performs every fail-closed
+/// Phase 1: the recursive-descent walk. Performs every fail-closed
 /// check (decode validity, range, overlap) using [`decode_step`], which is
 /// validation-identical to [`decode`], so the walk fails exactly where a
-/// full serial disassembly would.
+/// full decode of every instruction would.
 fn frontier(
     code: &[u8],
     entry: usize,
@@ -409,46 +405,9 @@ fn frontier(
     Ok(Frontier { starts, leaders, function_entries })
 }
 
-/// Below this instruction count the thread-spawn overhead outweighs the
-/// parallel decode win; materialise serially.
-const PARALLEL_MIN_INSTS: usize = 256;
-
-/// Phase 2: re-decode each validated boundary into a full [`Inst`]. Every
-/// slot is pre-assigned, so sharding across threads cannot reorder or race:
-/// the output is identical for any thread count.
-fn materialize(
-    code: &[u8],
-    starts: &[(usize, usize)],
-    threads: usize,
-) -> Vec<(usize, Inst, usize)> {
-    let full = |&(off, len): &(usize, usize)| -> (usize, Inst, usize) {
-        let (inst, dlen) = decode(code, off).expect("frontier-validated instruction re-decodes");
-        debug_assert_eq!(dlen, len);
-        (off, inst, len)
-    };
-    if threads <= 1 || starts.len() < PARALLEL_MIN_INSTS {
-        return starts.iter().map(full).collect();
-    }
-    let mut out: Vec<(usize, Inst, usize)> = vec![(0, Inst::Nop, 0); starts.len()];
-    let chunk = starts.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for (src, dst) in starts.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (slot, t) in dst.iter_mut().zip(src) {
-                    *slot = full(t);
-                }
-            });
-        }
-    });
-    out
-}
-
 /// Disassembles `code` by recursive descent from `entry`, additionally
 /// seeding the worklist with `indirect_targets` (the proof's legitimate
 /// indirect-branch targets).
-///
-/// Equivalent to [`disassemble_threaded`] with one thread; this is the
-/// TCB-counted default.
 ///
 /// # Errors
 ///
@@ -459,28 +418,17 @@ pub fn disassemble(
     entry: usize,
     indirect_targets: &[usize],
 ) -> Result<Disassembly, DisasmError> {
-    disassemble_threaded(code, entry, indirect_targets, 1)
-}
-
-/// [`disassemble`], with instruction materialisation sharded across up to
-/// `threads` worker threads.
-///
-/// All fail-closed validation happens in the serial frontier walk before any
-/// thread is spawned, so the verdict — success or the exact error — and the
-/// resulting [`Disassembly`] are identical to the serial path for every
-/// thread count.
-///
-/// # Errors
-///
-/// Exactly the errors [`disassemble`] returns, on exactly the same inputs.
-pub fn disassemble_threaded(
-    code: &[u8],
-    entry: usize,
-    indirect_targets: &[usize],
-    threads: usize,
-) -> Result<Disassembly, DisasmError> {
     let Frontier { starts, leaders, function_entries } = frontier(code, entry, indirect_targets)?;
-    let insts = materialize(code, &starts, threads);
+    // Phase 2: re-decode each validated boundary into a full instruction.
+    let insts: Vec<(usize, Inst, usize)> = starts
+        .iter()
+        .map(|&(off, len)| {
+            let (inst, dlen) =
+                decode(code, off).expect("frontier-validated instruction re-decodes");
+            debug_assert_eq!(dlen, len);
+            (off, inst, len)
+        })
+        .collect();
     let mut index = vec![u32::MAX; code.len()];
     for (i, t) in insts.iter().enumerate() {
         index[t.0] = u32::try_from(i).expect("code region fits in u32");
@@ -723,29 +671,5 @@ mod tests {
         assert_eq!(ranges[1], (2, 3));
         assert_eq!(ranges[2], (3, 4));
         assert_eq!(ranges.last().unwrap().1, d.len());
-    }
-
-    #[test]
-    fn threaded_disassembly_is_identical_to_serial() {
-        // Large enough to clear PARALLEL_MIN_INSTS: a long chain of calls
-        // and arithmetic with a branchy tail.
-        let mut prog = Vec::new();
-        for i in 0..300 {
-            prog.push(Inst::MovRI { dst: Reg::RAX, imm: i });
-            prog.push(Inst::AluRI { op: AluOp::Add, dst: Reg::RAX, imm: 1 });
-        }
-        prog.push(Inst::CmpRI { lhs: Reg::RAX, imm: 0 });
-        prog.push(Inst::Jcc { cc: CondCode::E, rel: 1 });
-        prog.push(Inst::Nop);
-        prog.push(Inst::Halt);
-        let (code, _) = encode_program(&prog);
-        let serial = disassemble(&code, 0, &[]).unwrap();
-        assert!(serial.len() >= PARALLEL_MIN_INSTS);
-        for threads in [2, 4, 8] {
-            let par = disassemble_threaded(&code, 0, &[], threads).unwrap();
-            assert_eq!(par.insts(), serial.insts(), "threads={threads}");
-            assert_eq!(par.leaders(), serial.leaders());
-            assert_eq!(par.function_entries(), serial.function_entries());
-        }
     }
 }

@@ -57,7 +57,7 @@ mod mem;
 mod reg;
 
 pub use decode::{decode, decode_step, DecodeError, DecodeErrorKind, StepKind};
-pub use disasm::{disassemble, disassemble_threaded, BasicBlock, DisasmError, Disassembly};
+pub use disasm::{disassemble, BasicBlock, DisasmError, Disassembly};
 pub use encode::{encode, encode_program, encoded_len};
 pub use flags::{CondCode, Flags};
 pub use inst::{AluOp, FpuOp, Inst, OcallCode};

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 /// Benches whose headline assertions are gated off on hosts with fewer
 /// than four cores (see ROADMAP): their numbers are reported but never
 /// treated as regressions when either side ran under the gate.
-pub const CORE_GATED_BENCHES: &[&str] = &["ablation_parallel_verify", "ablation_pool_resilience"];
+pub const CORE_GATED_BENCHES: &[&str] = &["ablation_pool_resilience"];
 
 /// Host context stamped into a BENCH file by `scripts/ci.sh`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -612,14 +612,15 @@ mod tests {
 
     #[test]
     fn core_gated_benches_never_regress_under_four_cores() {
-        let prev = [file("ablation_parallel_verify", Some(1), "verify/threads-4", 1_000_000)];
-        let slow = [file("ablation_parallel_verify", Some(1), "verify/threads-4", 9_000_000)];
+        let id = "pool_resilience/serve/work_stealing";
+        let prev = [file("ablation_pool_resilience", Some(1), id, 1_000_000)];
+        let slow = [file("ablation_pool_resilience", Some(1), id, 9_000_000)];
         let report = TrendReport::build(&slow, &prev, 25.0);
         assert!(!report.has_regression());
         assert!(report.rows[0].note.contains("gated off"));
         // On a ≥4-core host the same bench does enforce.
-        let prev = [file("ablation_parallel_verify", Some(8), "verify/threads-4", 1_000_000)];
-        let slow = [file("ablation_parallel_verify", Some(8), "verify/threads-4", 9_000_000)];
+        let prev = [file("ablation_pool_resilience", Some(8), id, 1_000_000)];
+        let slow = [file("ablation_pool_resilience", Some(8), id, 9_000_000)];
         assert!(TrendReport::build(&slow, &prev, 25.0).has_regression());
     }
 

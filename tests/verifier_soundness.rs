@@ -38,6 +38,14 @@ fn instrumented_binary() -> Vec<u8> {
     produce(VICTIM, &PolicySet::full()).expect("compiles").serialize()
 }
 
+/// The strict consumer, and the eliding one that may accept an unguarded
+/// site only on its own in-enclave analysis proof.
+fn manifests() -> [Manifest; 2] {
+    let mut elide = Manifest::ccaas();
+    elide.policy = PolicySet::full().with_elision();
+    [Manifest::ccaas(), elide]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -50,26 +58,29 @@ proptest! {
             let idx = pos % binary.len();
             binary[idx] ^= xor;
         }
-        let manifest = Manifest::ccaas();
-        let mut enclave = BootstrapEnclave::new(
-            EnclaveLayout::new(MemConfig::small()),
-            manifest,
-        );
-        // (a) The consumer never panics on mutated input.
-        match enclave.install_plain(&binary) {
-            Err(_) => { /* rejected — always sound */ }
-            Ok(_) => {
-                enclave.set_owner_session([1u8; 32]);
-                let _ = enclave.provide_input(b"probe");
-                // (b) If accepted, the run may halt/abort/fault/stall — but
-                // it must never write untrusted memory.
-                let report = enclave.run(3_000_000).expect("installed");
-                prop_assert_eq!(
-                    report.untrusted_writes,
-                    0,
-                    "verifier accepted a leaking mutant (exit {:?})",
-                    report.exit
-                );
+        for manifest in manifests() {
+            let elide = manifest.policy.elide_guards;
+            let mut enclave = BootstrapEnclave::new(
+                EnclaveLayout::new(MemConfig::small()),
+                manifest,
+            );
+            // (a) The consumer never panics on mutated input.
+            match enclave.install_plain(&binary) {
+                Err(_) => { /* rejected — always sound */ }
+                Ok(_) => {
+                    enclave.set_owner_session([1u8; 32]);
+                    let _ = enclave.provide_input(b"probe");
+                    // (b) If accepted, the run may halt/abort/fault/stall —
+                    // but it must never write untrusted memory.
+                    let report = enclave.run(3_000_000).expect("installed");
+                    prop_assert_eq!(
+                        report.untrusted_writes,
+                        0,
+                        "verifier (elide_guards = {}) accepted a leaking mutant (exit {:?})",
+                        elide,
+                        report.exit
+                    );
+                }
             }
         }
     }
@@ -159,12 +170,15 @@ proptest! {
 
 #[test]
 fn unmutated_binary_accepted_and_leak_free() {
-    let manifest = Manifest::ccaas();
-    let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest);
-    enclave.set_owner_session([1u8; 32]);
-    enclave.install_plain(&instrumented_binary()).expect("honest binary accepted");
-    enclave.provide_input(b"probe").expect("input");
-    let report = enclave.run(10_000_000).expect("runs");
-    assert!(matches!(report.exit, deflection::sgx::vm::RunExit::Halted { .. }));
-    assert_eq!(report.untrusted_writes, 0);
+    // VICTIM calls through a function pointer in a loop, so the eliding
+    // consumer must also accept its indirect-branch table.
+    for manifest in manifests() {
+        let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest);
+        enclave.set_owner_session([1u8; 32]);
+        enclave.install_plain(&instrumented_binary()).expect("honest binary accepted");
+        enclave.provide_input(b"probe").expect("input");
+        let report = enclave.run(10_000_000).expect("runs");
+        assert!(matches!(report.exit, deflection::sgx::vm::RunExit::Halted { .. }));
+        assert_eq!(report.untrusted_writes, 0);
+    }
 }
