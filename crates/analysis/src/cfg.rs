@@ -1,9 +1,9 @@
 //! Control-flow graph reconstruction and dominators.
 //!
-//! [`Cfg::build`] re-derives basic blocks from a recursive-descent
-//! [`Disassembly`], but — unlike [`Disassembly::blocks`], which is a
-//! display aid — it materialises *every* edge the dataflow analysis
-//! must traverse, each tagged with an [`EdgeKind`]:
+//! [`Cfg::build`] carves the basic blocks of a recursive-descent
+//! [`Disassembly`] (the disassembler itself keeps no blocks) and
+//! materialises *every* edge the dataflow analysis must traverse, each
+//! tagged with an [`EdgeKind`]:
 //!
 //! * `Call` instructions get an edge **into** the callee (the abstract
 //!   state flows into the function body, preserving argument

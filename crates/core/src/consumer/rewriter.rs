@@ -121,7 +121,7 @@ pub fn rewritten_insts(
     verified: &Verified,
     bindings: &Bindings,
 ) -> Vec<(usize, deflection_isa::Inst, usize)> {
-    let mut insts = verified.insts.clone();
+    let mut insts = verified.disassembly.insts().to_vec();
     for instance in &verified.instances {
         for &(rel_idx, role) in placeholder_sites(instance.kind) {
             let idx = instance.start_idx + rel_idx;
@@ -154,7 +154,7 @@ fn rewrite_instance(
 ) {
     for &(rel_idx, role) in placeholder_sites(instance.kind) {
         let idx = instance.start_idx + rel_idx;
-        let (offset, inst, _) = verified.insts[idx];
+        let (offset, inst, _) = verified.disassembly.insts()[idx];
         debug_assert!(
             matches!(inst, deflection_isa::Inst::MovRI { .. }),
             "placeholder site must be a MovRI (verifier checked the template)"

@@ -149,10 +149,9 @@ enum Role {
 /// The verifier's accepted output: everything the rewriter and runtime need.
 #[derive(Debug, Clone)]
 pub struct Verified {
-    /// The recursive-descent disassembly.
+    /// The recursive-descent disassembly; its address-ordered instruction
+    /// list is the one every later stage reads.
     pub disassembly: Disassembly,
-    /// Address-ordered instruction list `(offset, inst, len)`.
-    pub insts: Vec<(usize, Inst, usize)>,
     /// Every recognized annotation instance.
     pub instances: Vec<Instance>,
 }
@@ -216,7 +215,7 @@ fn rsp_chain_ok(insts: &[(usize, Inst, usize)], roles: &[Role], idx: usize) -> b
     })
 }
 
-/// Read-only inputs shared by every per-function range check.
+/// Read-only inputs of the check phases.
 struct CheckCtx<'a> {
     insts: &'a [(usize, Inst, usize)],
     roles: &'a [Role],
@@ -237,31 +236,30 @@ impl CheckCtx<'_> {
     }
 
     /// The elision analysis, built on first demand and then shared by
-    /// every later range check.
+    /// every later check.
     fn analysis(&self, l: &EnclaveLayout) -> &Analysis {
         self.analysis.get_or_init(|| Analysis::run(self.d, elision_analysis_config(l)))
     }
 }
 
-/// First error found per check phase within one function's instruction
-/// range, keyed by instruction index for the deterministic merge.
+/// First error found per instruction-independent check phase.
 #[derive(Default)]
-struct RangeErrors {
+struct PhaseErrors {
     /// Phase: branches may not skip into annotations.
-    branch: Option<(usize, VerifyError)>,
+    branch: Option<VerifyError>,
     /// Phase: rbp write discipline.
-    rbp: Option<(usize, VerifyError)>,
+    rbp: Option<VerifyError>,
     /// Phase: per-policy structural rules.
-    policy: Option<(usize, VerifyError)>,
+    policy: Option<VerifyError>,
 }
 
-/// Scans instructions `[lo, hi)` — one function — recording the first
+/// Scans every instruction once, in address order, recording the first
 /// error of each instruction-independent phase. Scanning ascending means
-/// the recorded error per phase is the range's lowest-index one.
-fn check_range(ctx: &CheckCtx<'_>, lo: usize, hi: usize) -> RangeErrors {
-    let mut out = RangeErrors::default();
-    for idx in lo..hi {
-        let (offset, inst, len) = ctx.insts[idx];
+/// the recorded error per phase is its lowest-index one.
+fn check_phases(ctx: &CheckCtx<'_>) -> PhaseErrors {
+    let _span = Span::start(&METRICS.verify_checks_ns);
+    let mut out = PhaseErrors::default();
+    for (idx, &(offset, inst, len)) in ctx.insts.iter().enumerate() {
         if out.branch.is_none() {
             if let Some(rel) = inst.direct_rel() {
                 let target = ((offset + len) as i64 + i64::from(rel)) as usize;
@@ -271,10 +269,8 @@ fn check_range(ctx: &CheckCtx<'_>, lo: usize, hi: usize) -> RangeErrors {
                     let lands_on_start = target_idx == ctx.instances[tid].start_idx;
                     let same_instance = ctx.instance_of(idx) == Some(tid);
                     if !lands_on_start && !same_instance {
-                        out.branch = Some((
-                            idx,
-                            VerifyError::BranchIntoAnnotation { source: offset, target },
-                        ));
+                        out.branch =
+                            Some(VerifyError::BranchIntoAnnotation { source: offset, target });
                     }
                 }
             }
@@ -286,13 +282,11 @@ fn check_range(ctx: &CheckCtx<'_>, lo: usize, hi: usize) -> RangeErrors {
                 Inst::MovRR { dst: Reg::RBP, src: Reg::RSP } | Inst::Pop { reg: Reg::RBP }
             );
             if writes_rbp && !frame_idiom {
-                out.rbp = Some((idx, VerifyError::IllegalRbpWrite { offset }));
+                out.rbp = Some(VerifyError::IllegalRbpWrite { offset });
             }
         }
         if out.policy.is_none() {
-            if let Some(err) = policy_check_inst(ctx, idx, offset, &inst) {
-                out.policy = Some((idx, err));
-            }
+            out.policy = policy_check_inst(ctx, idx, offset, &inst);
         }
         // Each phase records at most one error; stop early once no phase
         // can improve (rbp is done when found or not enforced).
@@ -362,12 +356,6 @@ fn policy_check_inst(
         }
         Role::Interior(_) => None,
     }
-}
-
-/// Runs [`check_range`] over every function range, in address order.
-fn run_range_checks(ctx: &CheckCtx<'_>, ranges: &[(usize, usize)]) -> Vec<RangeErrors> {
-    let _span = Span::start(&METRICS.verify_checks_ns);
-    ranges.iter().map(|&(lo, hi)| check_range(ctx, lo, hi)).collect()
 }
 
 /// Output of the discovery prefix of verification: disassembly, greedily
@@ -441,8 +429,7 @@ pub fn discover(
     indirect_targets: &[usize],
 ) -> Result<Verified, VerifyError> {
     let d = discover_impl(code, entry, indirect_targets)?;
-    let insts = d.disassembly.insts().to_vec();
-    Ok(Verified { disassembly: d.disassembly, insts, instances: d.instances })
+    Ok(Verified { disassembly: d.disassembly, instances: d.instances })
 }
 
 fn verify_impl(
@@ -497,18 +484,13 @@ fn verify_inner(
         analysis: &analysis,
     };
 
-    // --- Instruction-independent phases, one pass per function. -----------
-    // Each range check records the first error per phase; the merge below
-    // picks, within each phase, the error with the lowest instruction
-    // index, so phases report in the fixed order that follows.
-    let ranges = disassembly.function_ranges();
-    let results = run_range_checks(&ctx, &ranges);
-    let min_of = |pick: fn(&RangeErrors) -> Option<&(usize, VerifyError)>| {
-        results.iter().filter_map(pick).min_by_key(|(k, _)| *k).map(|(_, e)| e.clone())
-    };
+    // --- Instruction-independent phases, in one ascending scan. ------------
+    // The scan records the lowest-index error per phase; phases report in
+    // the fixed order that follows.
+    let first = check_phases(&ctx);
 
     // --- Control flow may not skip into annotations. ----------------------
-    if let Some(e) = min_of(|r| r.branch.as_ref()) {
+    if let Some(e) = first.branch {
         return Err(e);
     }
     for &t in indirect_targets {
@@ -527,12 +509,12 @@ fn verify_inner(
     }
 
     // --- rbp write discipline (underpins the frame-store exemption). -------
-    if let Some(e) = min_of(|r| r.rbp.as_ref()) {
+    if let Some(e) = first.rbp {
         return Err(e);
     }
 
     // --- Per-policy structural rules. --------------------------------------
-    if let Some(e) = min_of(|r| r.policy.as_ref()) {
+    if let Some(e) = first.policy {
         return Err(e);
     }
 
@@ -573,7 +555,7 @@ fn verify_inner(
             }
         }
     }
-    Ok(Verified { insts: insts.to_vec(), disassembly, instances })
+    Ok(Verified { disassembly, instances })
 }
 
 #[cfg(test)]
@@ -668,7 +650,7 @@ mod tests {
         let (entry, ibt) = entry_and_ibt(&obj);
         let v = verify(&obj.text, entry, &ibt, &PolicySet::full()).unwrap();
         let d = discover(&obj.text, entry, &ibt).unwrap();
-        assert_eq!(d.insts, v.insts);
+        assert_eq!(d.disassembly.insts(), v.disassembly.insts());
         assert_eq!(d.instances.len(), v.instances.len());
         // discover never rejects on policy grounds: a baseline binary the
         // full policy refuses still re-derives its discovery output.

@@ -393,7 +393,7 @@ pub fn elision_plan(
         match inst.kind {
             TemplateKind::StoreGuard => {
                 let Some(sidx) = inst.subject_idx else { continue };
-                let offset = verified.insts[sidx].0;
+                let offset = verified.disassembly.insts()[sidx].0;
                 // Guards in injected runtime helpers are not emission sites
                 // (instrument never saw them); leave them alone.
                 let Some(fi) = owner(offset) else { continue };
@@ -406,7 +406,7 @@ pub fn elision_plan(
             TemplateKind::RspGuard => {
                 // The guarded write is the instruction just before the
                 // guard template.
-                let offset = verified.insts[inst.start_idx - 1].0;
+                let offset = verified.disassembly.insts()[inst.start_idx - 1].0;
                 let Some(fi) = owner(offset) else { continue };
                 let ordinal = rsp_base[fi] + rsp_seen[fi];
                 rsp_seen[fi] += 1;

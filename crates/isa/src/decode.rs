@@ -131,164 +131,6 @@ impl<'a> Cursor<'a> {
             .then(|| (Reg::from_index(regs & 0xF).expect("nibble < 16"), 1u8 << scale_log2));
         Ok(MemOperand { base, index, disp })
     }
-
-    /// Validation-only skip of `n` operand bytes (same `Truncated`
-    /// behaviour as reading them one at a time).
-    fn skip(&mut self, n: usize) -> Result<(), DecodeError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(self.err(DecodeErrorKind::Truncated));
-        }
-        self.pos += n;
-        Ok(())
-    }
-
-    /// Validation-only register operand (same checks as [`Cursor::reg`]).
-    fn reg_step(&mut self) -> Result<(), DecodeError> {
-        let b = self.u8()?;
-        if Reg::from_index(b).is_none() {
-            return Err(self.err(DecodeErrorKind::BadRegister));
-        }
-        Ok(())
-    }
-
-    /// Validation-only memory operand (same checks, in the same order, as
-    /// [`Cursor::mem`] — so the reported error kind is identical).
-    fn mem_step(&mut self) -> Result<(), DecodeError> {
-        let flags = self.u8()?;
-        if flags > 3 {
-            return Err(self.err(DecodeErrorKind::BadMemOperand));
-        }
-        let regs = self.u8()?;
-        let scale_log2 = self.u8()?;
-        if scale_log2 > 3 {
-            return Err(self.err(DecodeErrorKind::BadMemOperand));
-        }
-        self.skip(4)?;
-        let has_base = flags & 1 != 0;
-        let has_index = flags & 2 != 0;
-        if !has_base && (regs >> 4) != 0 {
-            return Err(self.err(DecodeErrorKind::BadMemOperand));
-        }
-        if !has_index && ((regs & 0xF) != 0 || scale_log2 != 0) {
-            return Err(self.err(DecodeErrorKind::BadMemOperand));
-        }
-        Ok(())
-    }
-}
-
-/// Control-flow classification of a decoded instruction, as needed by the
-/// recursive-descent frontier walk ([`crate::disassemble`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepKind {
-    /// Execution falls through to the next instruction.
-    Fall,
-    /// Unconditional direct jump: control moves to the target only.
-    Jmp {
-        /// Signed displacement from the end of the instruction.
-        rel: i32,
-    },
-    /// Conditional branch: target and fall-through both reachable.
-    Jcc {
-        /// Signed displacement from the end of the instruction.
-        rel: i32,
-    },
-    /// Direct call: callee entry and fall-through both reachable.
-    Call {
-        /// Signed displacement from the end of the instruction.
-        rel: i32,
-    },
-    /// Control never falls to the next byte (indirect jump, ret, halt,
-    /// abort).
-    Stop,
-}
-
-/// Validates the instruction at `offset` and classifies its control flow,
-/// without materialising an [`Inst`].
-///
-/// This is the cheap half of [`decode`] used by the disassembler's
-/// frontier walk: it performs *exactly* the same operand validation, in the
-/// same byte order, so it succeeds iff `decode` succeeds, returns the same
-/// length, and fails with the identical [`DecodeError`].
-///
-/// # Errors
-///
-/// Returns the same [`DecodeError`] that [`decode`] would return for the
-/// same bytes and offset.
-pub fn decode_step(bytes: &[u8], offset: usize) -> Result<(StepKind, usize), DecodeError> {
-    let mut c = Cursor { bytes, start: offset, pos: offset };
-    let opcode = c.u8()?;
-    let step = match opcode {
-        op::NOP | op::AEXPROBE => StepKind::Fall,
-        op::HALT | op::RET => StepKind::Stop,
-        op::ABORT => {
-            c.skip(1)?;
-            StepKind::Stop
-        }
-        op::OCALL => {
-            c.skip(1)?;
-            StepKind::Fall
-        }
-        // Register-pair forms: any nibble pair is a valid register pair.
-        op::MOV_RR
-        | op::CMP_RR
-        | op::TEST_RR
-        | op::FCMP
-        | op::CVT_IF
-        | op::CVT_FI
-        | op::FSQRT
-        | op::FNEG => {
-            c.skip(1)?;
-            StepKind::Fall
-        }
-        o if (op::ALU_RR_BASE..op::ALU_RR_BASE + 13).contains(&o) => {
-            c.skip(1)?;
-            StepKind::Fall
-        }
-        o if (op::FPU_BASE..op::FPU_BASE + 4).contains(&o) => {
-            c.skip(1)?;
-            StepKind::Fall
-        }
-        op::MOV_RI | op::CMP_RI => {
-            c.reg_step()?;
-            c.skip(8)?;
-            StepKind::Fall
-        }
-        o if (op::ALU_RI_BASE..op::ALU_RI_BASE + 13).contains(&o) => {
-            c.reg_step()?;
-            c.skip(8)?;
-            StepKind::Fall
-        }
-        op::LEA | op::LOAD | op::LOAD8 | op::STORE | op::STORE8 | op::CMP_MEM => {
-            c.reg_step()?;
-            c.mem_step()?;
-            StepKind::Fall
-        }
-        op::STORE_IMM => {
-            c.mem_step()?;
-            c.skip(4)?;
-            StepKind::Fall
-        }
-        op::NEG | op::NOT | op::PUSH | op::POP | op::CALL_IND => {
-            c.reg_step()?;
-            StepKind::Fall
-        }
-        op::JMP_IND => {
-            c.reg_step()?;
-            StepKind::Stop
-        }
-        op::SETCC => {
-            let b = c.u8()?;
-            if CondCode::from_index(b >> 4).is_none() {
-                return Err(c.err(DecodeErrorKind::BadRegister));
-            }
-            StepKind::Fall
-        }
-        op::JMP => StepKind::Jmp { rel: c.i32()? },
-        o if (op::JCC_BASE..op::JCC_BASE + 10).contains(&o) => StepKind::Jcc { rel: c.i32()? },
-        op::CALL => StepKind::Call { rel: c.i32()? },
-        other => return Err(DecodeError { offset, kind: DecodeErrorKind::UnknownOpcode(other) }),
-    };
-    Ok((step, c.pos - offset))
 }
 
 /// Decodes a single instruction starting at `offset` in `bytes`.
@@ -536,117 +378,5 @@ mod tests {
     fn error_display_mentions_offset() {
         let err = decode(&[0x00, 0xFF], 1).unwrap_err();
         assert!(err.to_string().contains("0x1"));
-    }
-
-    /// The control-flow classification `decode_step` must produce for a
-    /// fully decoded instruction.
-    fn step_of(inst: &Inst) -> StepKind {
-        match *inst {
-            Inst::Jmp { rel } => StepKind::Jmp { rel },
-            Inst::Jcc { rel, .. } => StepKind::Jcc { rel },
-            Inst::Call { rel } => StepKind::Call { rel },
-            Inst::JmpInd { .. } | Inst::Ret | Inst::Halt | Inst::Abort { .. } => StepKind::Stop,
-            _ => StepKind::Fall,
-        }
-    }
-
-    fn assert_lockstep(bytes: &[u8], offset: usize) {
-        match (decode(bytes, offset), decode_step(bytes, offset)) {
-            (Ok((inst, len)), Ok((step, step_len))) => {
-                assert_eq!(len, step_len, "length mismatch on {bytes:02x?} at {offset}");
-                assert_eq!(step, step_of(&inst), "step mismatch on {bytes:02x?} at {offset}");
-            }
-            (Err(a), Err(b)) => {
-                assert_eq!(a, b, "error mismatch on {bytes:02x?} at {offset}");
-            }
-            (a, b) => panic!("verdict mismatch on {bytes:02x?} at {offset}: {a:?} vs {b:?}"),
-        }
-    }
-
-    #[test]
-    fn decode_step_matches_decode_on_encoded_instructions() {
-        use crate::encode::encode;
-        let m = MemOperand::base_index(Reg::R8, Reg::R15, 8, -1024);
-        let mut cases = vec![
-            Inst::Nop,
-            Inst::Halt,
-            Inst::Abort { code: 3 },
-            Inst::Ocall { code: 1 },
-            Inst::AexProbe,
-            Inst::MovRR { dst: Reg::RSP, src: Reg::RBP },
-            Inst::MovRI { dst: Reg::R13, imm: u64::MAX },
-            Inst::Lea { dst: Reg::RAX, mem: m },
-            Inst::Load { dst: Reg::RAX, mem: MemOperand::abs(4096) },
-            Inst::Load8 { dst: Reg::RCX, mem: MemOperand::base_disp(Reg::RSI, 1) },
-            Inst::Store { mem: m, src: Reg::RDX },
-            Inst::Store8 { mem: m, src: Reg::RDX },
-            Inst::StoreImm { mem: m, imm: -7 },
-            Inst::CmpMem { reg: Reg::RBX, mem: MemOperand::base_disp(Reg::RSP, 16) },
-            Inst::Neg { reg: Reg::R9 },
-            Inst::Not { reg: Reg::R10 },
-            Inst::CmpRR { lhs: Reg::RAX, rhs: Reg::RBX },
-            Inst::CmpRI { lhs: Reg::RAX, imm: i64::MIN },
-            Inst::TestRR { lhs: Reg::RAX, rhs: Reg::RAX },
-            Inst::Jmp { rel: -9 },
-            Inst::JmpInd { reg: Reg::R11 },
-            Inst::Call { rel: 1234 },
-            Inst::CallInd { reg: Reg::RAX },
-            Inst::Ret,
-            Inst::Push { reg: Reg::RBP },
-            Inst::Pop { reg: Reg::RBP },
-            Inst::FCmp { lhs: Reg::RAX, rhs: Reg::RBX },
-            Inst::CvtIF { dst: Reg::RAX, src: Reg::RBX },
-            Inst::CvtFI { dst: Reg::RAX, src: Reg::RBX },
-            Inst::FSqrt { dst: Reg::RAX, src: Reg::RBX },
-            Inst::FNeg { dst: Reg::RAX, src: Reg::RBX },
-        ];
-        for op in crate::AluOp::ALL {
-            cases.push(Inst::AluRR { op, dst: Reg::R14, src: Reg::R15 });
-            cases.push(Inst::AluRI { op, dst: Reg::R14, imm: -42 });
-        }
-        for cc in crate::CondCode::ALL {
-            cases.push(Inst::Jcc { cc, rel: 77 });
-            cases.push(Inst::SetCc { cc, dst: Reg::RDI });
-        }
-        for op in crate::FpuOp::ALL {
-            cases.push(Inst::FpuRR { op, dst: Reg::RAX, src: Reg::RDX });
-        }
-        for inst in cases {
-            let mut bytes = vec![0xEE; 2];
-            encode(&inst, &mut bytes);
-            assert_lockstep(&bytes, 2);
-            // Every truncation of the encoding must fail identically too.
-            for cut in 2..bytes.len() {
-                assert_lockstep(&bytes[..cut], 2);
-            }
-        }
-    }
-
-    #[test]
-    fn decode_step_matches_decode_on_arbitrary_bytes() {
-        // Deterministic xorshift fuzz: decode and decode_step must agree on
-        // verdict, length, control-flow kind and error for any byte soup.
-        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for _ in 0..20_000 {
-            let len = (next() % 14) as usize;
-            let bytes: Vec<u8> = (0..len).map(|_| (next() >> 24) as u8).collect();
-            assert_lockstep(&bytes, 0);
-        }
-        // And with every opcode byte leading a fixed operand soup, so each
-        // opcode arm is exercised even where the fuzz misses it.
-        for opcode in 0u8..=255 {
-            let mut bytes = vec![opcode];
-            bytes.extend_from_slice(&[0x21, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10]);
-            assert_lockstep(&bytes, 0);
-            for cut in 1..bytes.len() {
-                assert_lockstep(&bytes[..cut], 0);
-            }
-        }
     }
 }

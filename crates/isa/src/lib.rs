@@ -56,8 +56,8 @@ mod inst;
 mod mem;
 mod reg;
 
-pub use decode::{decode, decode_step, DecodeError, DecodeErrorKind, StepKind};
-pub use disasm::{disassemble, BasicBlock, DisasmError, Disassembly};
+pub use decode::{decode, DecodeError, DecodeErrorKind};
+pub use disasm::{disassemble, DisasmError, Disassembly};
 pub use encode::{encode, encode_program, encoded_len};
 pub use flags::{CondCode, Flags};
 pub use inst::{AluOp, FpuOp, Inst, OcallCode};

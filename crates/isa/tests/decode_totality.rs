@@ -3,10 +3,9 @@
 //! never panic. Every 2-byte prefix is decoded with four fixed tails, at
 //! buffer lengths 2 (everything past the prefix truncated) and 15 (the
 //! longest encoding plus slack). An accepted decode must be canonical — it
-//! re-encodes to exactly the bytes it consumed — and `decode_step` must
-//! reach the same verdict and length as `decode`.
+//! re-encodes to exactly the bytes it consumed.
 
-use deflection_isa::{decode, decode_step, encode};
+use deflection_isa::{decode, encode};
 
 /// Bytes that follow the 2-byte prefix: all zeros, all ones, a counting
 /// run and an alternating pattern, so operand fields see both extremes
@@ -28,18 +27,11 @@ fn every_two_byte_prefix_decodes_totally_and_canonically() {
             buf[2..].copy_from_slice(tail);
             for len in [2, 15] {
                 let bytes = &buf[..len];
-                let full = decode(bytes, 0);
-                let step = decode_step(bytes, 0);
-                match (&full, &step) {
-                    (Ok((inst, n)), Ok((_, m))) => {
-                        assert_eq!(n, m, "{bytes:02x?}: decode_step length differs");
-                        let mut out = Vec::new();
-                        encode(inst, &mut out);
-                        assert_eq!(out, bytes[..*n], "{bytes:02x?}: {inst:?} is not canonical");
-                        accepted += 1;
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a, b, "{bytes:02x?}: errors differ"),
-                    _ => panic!("{bytes:02x?}: decode {full:?} but decode_step {step:?}"),
+                if let Ok((inst, n)) = decode(bytes, 0) {
+                    let mut out = Vec::new();
+                    encode(&inst, &mut out);
+                    assert_eq!(out, bytes[..n], "{bytes:02x?}: {inst:?} is not canonical");
+                    accepted += 1;
                 }
             }
         }

@@ -47,6 +47,12 @@ cargo test -q
 echo "==> tier-1: chaos/fault-injection suite (pool_chaos, sealed_install)"
 cargo test -q -p deflection-core --test pool_chaos --test sealed_install
 
+# The verdict oracles pin every verifier verdict (variant and offset) and
+# the analysis answers that verifier refactors must keep; named for the
+# same reason.
+echo "==> tier-1: verdict oracles (verify_verdicts, absint_golden)"
+cargo test -q --test verify_verdicts --test absint_golden
+
 # perfbench is a standalone package (its own workspace and lockfile), so
 # the workspace commands above never compile it; it builds against the
 # pool and admission APIs by path, and its oracles pin serving verdicts.

@@ -166,7 +166,7 @@ fn main() -> ExitCode {
                 Ok(installed) => {
                     println!(
                         "ACCEPTED: {} instructions, {} annotation instances, code hash {}",
-                        installed.verified.insts.len(),
+                        installed.verified.disassembly.len(),
                         installed.verified.instances.len(),
                         hex(&installed.program.code_hash[..8])
                     );
@@ -205,7 +205,7 @@ fn main() -> ExitCode {
                                 .iter()
                                 .flat_map(|ins| {
                                     (ins.start_idx..=ins.end_idx)
-                                        .map(|i| v.insts[i].0)
+                                        .map(|i| v.disassembly.insts()[i].0)
                                         .collect::<Vec<_>>()
                                 })
                                 .collect()

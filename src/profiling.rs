@@ -2,18 +2,17 @@
 //!
 //! The VM collects `(pc, weight)` samples in a local buffer and folds them
 //! once at run exit; this module runs a workload under the profiler and
-//! attributes the folded samples to functions via
-//! [`Disassembly::function_of_offset`], producing a hot-function table and
+//! attributes the folded samples to functions via [`function_of_offset`]
+//! over the verifier's function entries, producing a hot-function table and
 //! flamegraph-ready collapsed stacks. Everything here is untrusted host
 //! tooling: it consumes the run report and the profile after the ECall
 //! returns, and none of it enters the TCB.
-//!
-//! [`Disassembly::function_of_offset`]: deflection_isa::Disassembly::function_of_offset
 
 use crate::core::consumer::{discover, resolve};
 use crate::core::policy::{Manifest, PolicySet};
 use crate::core::producer::produce_for_layout;
 use crate::core::runtime::BootstrapEnclave;
+use crate::isa::Disassembly;
 use crate::sgx::layout::{EnclaveLayout, MemConfig};
 use crate::sgx::vm::{RunExit, VmProfile};
 use crate::workloads::nbench::Kernel;
@@ -184,18 +183,26 @@ pub fn profile_nbench(kernel: &Kernel, scale: u32, interval: u64) -> Result<Prof
     profile_source(kernel.name, &source, &input, interval)
 }
 
+/// Index into [`Disassembly::function_entries`] of the function whose
+/// address range contains `offset`: the closest entry at or below it
+/// (offsets below the first entry belong to the first function).
+#[must_use]
+pub fn function_of_offset(disasm: &Disassembly, offset: usize) -> usize {
+    disasm.function_entries().partition_point(|&e| e <= offset).saturating_sub(1)
+}
+
 /// Folds a raw [`VmProfile`] into per-function self-time and heatmaps.
 fn attribute(
     kernel: &str,
     profile: &VmProfile,
     instructions: u64,
-    disasm: &crate::isa::Disassembly,
+    disasm: &Disassembly,
     layout: &EnclaveLayout,
     names: &[String],
 ) -> ProfileReport {
     let func_of_pc = |pc: u64| -> usize {
         let off = usize::try_from(pc.saturating_sub(layout.code.start)).unwrap_or(0);
-        disasm.function_of_offset(off)
+        function_of_offset(disasm, off)
     };
     let mut weight = vec![0u64; names.len()];
     let mut samples = vec![0usize; names.len()];
@@ -247,7 +254,25 @@ fn attribute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{disassemble, encode_program, Inst, Reg};
     use crate::workloads::nbench;
+
+    #[test]
+    fn offsets_map_to_the_closest_function_entry_below() {
+        let prog = [
+            Inst::Call { rel: 3 },          // 0..5: callee at 8
+            Inst::JmpInd { reg: Reg::RAX }, // 5..7
+            Inst::Nop,                      // 7 (dead)
+            Inst::Ret,                      // 8: direct callee
+            Inst::Halt,                     // 9: indirect target
+        ];
+        let (code, offsets) = encode_program(&prog);
+        let d = disassemble(&code, 0, &[offsets[4]]).expect("disassembles");
+        assert_eq!(function_of_offset(&d, 0), 0);
+        assert_eq!(function_of_offset(&d, offsets[1]), 0);
+        assert_eq!(function_of_offset(&d, offsets[3]), 1);
+        assert_eq!(function_of_offset(&d, offsets[4]), 2);
+    }
 
     #[test]
     fn profiles_nbench_kernels_with_exact_attribution() {

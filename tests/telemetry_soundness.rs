@@ -37,7 +37,7 @@ fn verdict(binary: &[u8], policy: &PolicySet) -> Option<Verdict> {
         mem.peek_bytes(layout.code.start, program.code_len).expect("loader wrote the code window");
     let entry = (program.entry_va - layout.code.start) as usize;
     let result = verify_with_layout(&code, entry, &program.ibt_offsets, policy, &layout);
-    Some(result.map(|v| (v.insts, v.instances)))
+    Some(result.map(|v| (v.disassembly.insts().to_vec(), v.instances)))
 }
 
 /// The three collector states under test: off, on, and on with a snapshot
