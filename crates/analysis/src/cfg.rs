@@ -1,4 +1,4 @@
-//! Control-flow graph reconstruction and dominators.
+//! Control-flow graph reconstruction.
 //!
 //! [`Cfg::build`] carves the basic blocks of a recursive-descent
 //! [`Disassembly`] (the disassembler itself keeps no blocks) and
@@ -14,10 +14,9 @@
 //!   branch-table target — with CFI enforced those are the only
 //!   possible destinations.
 //!
-//! Dominators are computed with the iterative Cooper–Harvey–Kennedy
-//! algorithm over reverse postorder; the interpreter uses them to
-//! recognise loop heads (back edges target a dominator) and apply
-//! widening there.
+//! [`Cfg::reverse_postorder`] orders the blocks the entry reaches. An
+//! edge whose source does not come before its target in that order is
+//! *retreating*; every cycle has one, so the interpreter widens there.
 
 use deflection_isa::{Disassembly, Inst};
 use std::collections::{BTreeMap, BTreeSet};
@@ -91,26 +90,11 @@ impl Cfg {
         leaders.extend(d.indirect_targets.iter().copied());
         for &(off, inst, len) in d.insts() {
             let next = off + len;
-            match inst {
-                Inst::Jmp { rel } => {
-                    leaders.insert(rel_target(next, rel));
-                    leaders.insert(next);
-                }
-                Inst::Jcc { rel, .. } => {
-                    leaders.insert(rel_target(next, rel));
-                    leaders.insert(next);
-                }
-                Inst::Call { rel } => {
-                    leaders.insert(rel_target(next, rel));
-                    leaders.insert(next);
-                }
-                Inst::CallInd { .. } => {
-                    leaders.insert(next);
-                }
-                Inst::JmpInd { .. } | Inst::Ret | Inst::Halt | Inst::Abort { .. } => {
-                    leaders.insert(next);
-                }
-                _ => {}
+            if let Some(rel) = inst.direct_rel() {
+                leaders.insert(rel_target(next, rel));
+            }
+            if inst.direct_rel().is_some() || inst.is_terminator() || inst.is_indirect_branch() {
+                leaders.insert(next);
             }
         }
 
@@ -197,18 +181,6 @@ impl Cfg {
         (offset >= b.start && offset < b.end).then_some(idx)
     }
 
-    /// Predecessor lists, indexed like `blocks`.
-    #[must_use]
-    pub fn predecessors(&self) -> Vec<Vec<usize>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (i, b) in self.blocks.iter().enumerate() {
-            for e in &b.edges {
-                preds[e.to].push(i);
-            }
-        }
-        preds
-    }
-
     /// Reverse postorder over blocks reachable from the entry.
     #[must_use]
     pub fn reverse_postorder(&self) -> Vec<usize> {
@@ -232,73 +204,6 @@ impl Cfg {
         }
         post.reverse();
         post
-    }
-
-    /// Immediate dominators (Cooper–Harvey–Kennedy). `idom[entry] ==
-    /// Some(entry)`; blocks unreachable from the entry get `None`.
-    #[must_use]
-    pub fn dominators(&self) -> Vec<Option<usize>> {
-        let n = self.blocks.len();
-        let rpo = self.reverse_postorder();
-        let mut order = vec![usize::MAX; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            order[b] = i;
-        }
-        let preds = self.predecessors();
-        let mut idom: Vec<Option<usize>> = vec![None; n];
-        idom[self.entry] = Some(self.entry);
-
-        let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| -> usize {
-            while a != b {
-                while order[a] > order[b] {
-                    a = idom[a].expect("processed block has an idom");
-                }
-                while order[b] > order[a] {
-                    b = idom[b].expect("processed block has an idom");
-                }
-            }
-            a
-        };
-
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &rpo {
-                if b == self.entry {
-                    continue;
-                }
-                let mut new_idom: Option<usize> = None;
-                for &p in &preds[b] {
-                    if idom[p].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
-                }
-                if new_idom.is_some() && idom[b] != new_idom {
-                    idom[b] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        idom
-    }
-
-    /// Whether block `a` dominates block `b` under the given idom tree.
-    #[must_use]
-    pub fn dominates(idom: &[Option<usize>], a: usize, b: usize) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match idom[cur] {
-                Some(parent) if parent != cur => cur = parent,
-                _ => return false,
-            }
-        }
     }
 }
 
@@ -356,53 +261,30 @@ mod tests {
         )
     }
 
-    #[test]
-    fn dominators_of_diamond_with_loop() {
-        let cfg = diamond_with_loop();
-        let idom = cfg.dominators();
-        assert_eq!(idom[0], Some(0));
-        assert_eq!(idom[1], Some(0));
-        assert_eq!(idom[2], Some(0));
-        assert_eq!(idom[3], Some(1), "loop body is dominated by the loop head");
-        assert_eq!(idom[4], Some(0), "join point joins both arms, so idom is the fork");
-        assert!(Cfg::dominates(&idom, 0, 4));
-        assert!(Cfg::dominates(&idom, 1, 3));
-        assert!(!Cfg::dominates(&idom, 1, 4));
-        assert!(!Cfg::dominates(&idom, 2, 4));
+    /// Positions in reverse postorder, `usize::MAX` for blocks the entry
+    /// cannot reach, and the edges whose source does not come before
+    /// their target: the edges the interpreter widens on.
+    fn retreating(cfg: &Cfg) -> (Vec<usize>, Vec<(usize, usize)>) {
+        let mut pos = vec![usize::MAX; cfg.blocks.len()];
+        for (i, b) in cfg.reverse_postorder().into_iter().enumerate() {
+            pos[b] = i;
+        }
+        let edges =
+            cfg.blocks.iter().enumerate().flat_map(|(a, b)| b.edges.iter().map(move |e| (a, e.to)));
+        let back = edges.filter(|&(a, to)| pos[a] >= pos[to]).collect();
+        (pos, back)
     }
 
     #[test]
-    fn unreachable_blocks_have_no_idom() {
-        let edge = |to, kind| Edge { to, kind };
-        let mk = |start: usize, edges: Vec<Edge>| Block {
-            start,
-            end: start + 1,
-            insts: vec![(start, Inst::Nop)],
-            edges,
-        };
-        let cfg = Cfg::from_blocks(
-            vec![mk(0, vec![edge(1, EdgeKind::Jump)]), mk(1, vec![]), mk(2, vec![])],
-            0,
-        );
-        let idom = cfg.dominators();
-        assert_eq!(idom[1], Some(0));
-        assert_eq!(idom[2], None);
-        assert!(!Cfg::dominates(&idom, 0, 2));
-    }
+    fn retreating_edges_cut_every_cycle() {
+        // The loop's latch 3 -> 1 is the only retreating edge of the
+        // diamond; both arms and the join come after the fork.
+        let (pos, back) = retreating(&diamond_with_loop());
+        assert_eq!(pos[0], 0);
+        assert_eq!(back, vec![(3, 1)]);
 
-    #[test]
-    fn back_edge_detection_via_dominance() {
-        let cfg = diamond_with_loop();
-        let idom = cfg.dominators();
-        // 3 -> 1 is a back edge (1 dominates 3); 1 -> 4 is not.
-        assert!(Cfg::dominates(&idom, 1, 3));
-        assert!(!Cfg::dominates(&idom, 4, 1));
-    }
-
-    #[test]
-    fn nested_loop_dominators() {
-        // 0 -> 1 -> 2 -> 1 (inner), 2 -> 3 -> 1? no: classic nest:
-        // 0 -> 1; 1 -> 2; 2 -> 2 (self loop); 2 -> 3; 3 -> 1 (outer); 3 -> 4.
+        // A nest: self loop on 2 inside the outer loop 1..3, plus an
+        // unreachable block 5 in a cycle with itself via 6.
         let edge = |to, kind| Edge { to, kind };
         let mk = |start: usize, edges: Vec<Edge>| Block {
             start,
@@ -417,16 +299,14 @@ mod tests {
                 mk(2, vec![edge(2, EdgeKind::BranchTaken), edge(3, EdgeKind::BranchFall)]),
                 mk(3, vec![edge(1, EdgeKind::BranchTaken), edge(4, EdgeKind::BranchFall)]),
                 mk(4, vec![]),
+                mk(5, vec![edge(6, EdgeKind::Jump)]),
+                mk(6, vec![edge(5, EdgeKind::Jump)]),
             ],
             0,
         );
-        let idom = cfg.dominators();
-        assert_eq!(idom[1], Some(0));
-        assert_eq!(idom[2], Some(1));
-        assert_eq!(idom[3], Some(2));
-        assert_eq!(idom[4], Some(3));
-        // Both loop heads are recognised as dominating their back-edge sources.
-        assert!(Cfg::dominates(&idom, 2, 2));
-        assert!(Cfg::dominates(&idom, 1, 3));
+        let (pos, back) = retreating(&cfg);
+        assert_eq!(&pos[..5], &[0, 1, 2, 3, 4]);
+        assert_eq!((pos[5], pos[6]), (usize::MAX, usize::MAX));
+        assert_eq!(back, vec![(2, 2), (3, 1), (5, 6), (6, 5)]);
     }
 }

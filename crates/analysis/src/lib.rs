@@ -18,9 +18,8 @@
 //!
 //! 1. [`cfg`](mod@cfg) — control-flow graph reconstruction over an existing
 //!    recursive-descent [`deflection_isa::Disassembly`]: basic blocks,
-//!    typed edges (branch/call/fall-through/indirect), predecessors,
-//!    reverse postorder and an iterative dominator tree
-//!    (Cooper–Harvey–Kennedy).
+//!    typed edges (branch/call/fall-through/indirect) and reverse
+//!    postorder, whose retreating edges cut every cycle.
 //! 2. [`interval`] — signed 64-bit intervals with join, meet and the
 //!    widening operator that guarantees termination of the fixpoint.
 //! 3. [`absint`] — the abstract interpreter: a value domain of

@@ -28,7 +28,7 @@ pub const TCB_SOURCES: &[(&str, &str)] = &[
     // guard-elision proof with its own in-enclave abstract interpreter, so
     // the whole analysis crate joins the TCB.
     ("analysis (absint)", include_str!("../../analysis/src/absint.rs")),
-    ("analysis (cfg/dom)", include_str!("../../analysis/src/cfg.rs")),
+    ("analysis (cfg)", include_str!("../../analysis/src/cfg.rs")),
     ("analysis (interval)", include_str!("../../analysis/src/interval.rs")),
     ("analysis (api)", include_str!("../../analysis/src/lib.rs")),
 ];

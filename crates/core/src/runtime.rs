@@ -662,8 +662,8 @@ impl BootstrapEnclave {
     pub fn ecall_receive_binary(&mut self, sealed: &[u8]) -> Result<[u8; 32], EcallError> {
         let key = self.provider_key.ok_or(EcallError::NoSession)?;
         let nonce = delivery_nonce(b"BIN\0", self.recv_nonce);
-        self.recv_nonce += 1;
         let binary = ChaCha20Poly1305::new(&key).open(&nonce, b"deflection-binary", sealed)?;
+        self.recv_nonce += 1;
         self.install_plain(&binary)
     }
 
@@ -762,8 +762,8 @@ impl BootstrapEnclave {
     pub fn ecall_receive_userdata(&mut self, sealed: &[u8]) -> Result<(), EcallError> {
         let key = self.host.owner_key.ok_or(EcallError::NoSession)?;
         let nonce = delivery_nonce(b"DAT\0", self.recv_nonce);
-        self.recv_nonce += 1;
         let data = ChaCha20Poly1305::new(&key).open(&nonce, b"deflection-userdata", sealed)?;
+        self.recv_nonce += 1;
         self.provide_input(&data)
     }
 

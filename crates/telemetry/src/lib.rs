@@ -537,14 +537,6 @@ pub struct Metrics {
     pub verify_rejects: Counter,
     // -- abstract interpreter (guard elision) ------------------------------
     pub analysis_run_ns: Histogram,
-    pub analysis_fixpoint_iters: Histogram,
-    pub analysis_widenings: Histogram,
-    /// Widened in-states improved by the bounded narrowing rounds that
-    /// follow each per-function fixpoint.
-    pub absint_narrowings: Histogram,
-    /// Relational (difference-bound) facts live in the final fixpoint
-    /// states of one analysis run.
-    pub absint_relational_facts: Histogram,
     // -- enclave pool ------------------------------------------------------
     pub pool_install_cache_hits: Counter,
     pub pool_install_cache_misses: Counter,
@@ -646,10 +638,6 @@ impl Metrics {
             verify_accepts: Counter::new("deflection_verify_total", r#"verdict="accept""#),
             verify_rejects: Counter::new("deflection_verify_total", r#"verdict="reject""#),
             analysis_run_ns: Histogram::new("deflection_analysis_run_ns", ""),
-            analysis_fixpoint_iters: Histogram::new("deflection_analysis_fixpoint_iters", ""),
-            analysis_widenings: Histogram::new("deflection_analysis_widenings", ""),
-            absint_narrowings: Histogram::new("deflection_absint_narrowings", ""),
-            absint_relational_facts: Histogram::new("deflection_absint_relational_facts", ""),
             pool_install_cache_hits: Counter::new(
                 "deflection_pool_events_total",
                 r#"event="install_cache_hit""#,
@@ -791,7 +779,7 @@ impl Metrics {
         [&self.run_budget_headroom, &self.admission_queue_depth]
     }
 
-    fn histograms(&self) -> [&Histogram; 14] {
+    fn histograms(&self) -> [&Histogram; 10] {
         [
             &self.admission_wait_ns,
             &self.produce_ns,
@@ -802,10 +790,6 @@ impl Metrics {
             &self.verify_discovery_ns,
             &self.verify_checks_ns,
             &self.analysis_run_ns,
-            &self.analysis_fixpoint_iters,
-            &self.analysis_widenings,
-            &self.absint_narrowings,
-            &self.absint_relational_facts,
             &self.pool_serve_batch_ns,
         ]
     }

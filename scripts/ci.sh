@@ -41,6 +41,12 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# `cargo test` above tests the root package only; the counted analysis
+# and ISA crates keep their unit tests (the fixpoint engine's loop and
+# irreducible-flow cases among them) in their own packages.
+echo "==> tier-1: counted crates' unit tests (deflection-analysis, deflection-isa)"
+cargo test -q -p deflection-analysis -p deflection-isa
+
 # The fault-injection suites run as part of `cargo test` above, but tier-1
 # names them explicitly so a packaging/bin-filter regression that silently
 # drops them is caught here.

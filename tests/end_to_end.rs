@@ -132,3 +132,47 @@ fn multiple_runs_reuse_installed_binary() {
     let second = enclave.run(50_000_000).expect("runs");
     assert_eq!(first.exit, second.exit);
 }
+
+/// A message that fails authentication consumes no delivery counter: the
+/// genuine message for that counter still arrives after a forgery, and a
+/// message already accepted stays refused.
+#[test]
+fn forged_delivery_does_not_advance_the_receive_counter() {
+    let policy = PolicySet::full();
+    let (mut enclave, owner_key, provider_key) = attested_enclave(policy);
+    enclave.set_owner_session(owner_key);
+    enclave.set_provider_session(provider_key);
+    let binary = produce(SERVICE, &policy).expect("compiles").serialize();
+    let bin = |counter| {
+        ChaCha20Poly1305::new(&provider_key).seal(
+            &delivery_nonce(b"BIN\0", counter),
+            b"deflection-binary",
+            &binary,
+        )
+    };
+    let dat = |counter, data: &[u8]| {
+        ChaCha20Poly1305::new(&owner_key).seal(
+            &delivery_nonce(b"DAT\0", counter),
+            b"deflection-userdata",
+            data,
+        )
+    };
+
+    let mut forged_bin = bin(0);
+    forged_bin[3] ^= 1;
+    assert!(enclave.ecall_receive_binary(&forged_bin).is_err(), "forged binary accepted");
+    let genuine_bin = bin(0);
+    enclave.ecall_receive_binary(&genuine_bin).expect("genuine counter-0 binary installs");
+    assert!(enclave.ecall_receive_binary(&genuine_bin).is_err(), "replayed binary accepted");
+
+    let mut forged_dat = dat(1, b"forged");
+    forged_dat[0] ^= 1;
+    assert!(enclave.ecall_receive_userdata(&forged_dat).is_err(), "forged data accepted");
+    let genuine_dat = dat(1, b"genuine");
+    enclave.ecall_receive_userdata(&genuine_dat).expect("genuine counter-1 data accepted");
+    assert!(enclave.ecall_receive_userdata(&genuine_dat).is_err(), "replayed data accepted");
+
+    let report = enclave.run(50_000_000).expect("runs");
+    let expected_sum: u64 = b"genuine".iter().map(|&b| u64::from(b)).sum();
+    assert_eq!(report.exit, RunExit::Halted { exit: expected_sum });
+}
