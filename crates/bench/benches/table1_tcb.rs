@@ -2,9 +2,9 @@
 //!
 //! The paper's Table I compares the kLoC and binary size of each runtime's
 //! core components. Our in-enclave TCB is the consumer (loader + verifier +
-//! rewriter), the annotation matchers and the P0 runtime; we count the real
-//! lines of this repository and print them against the paper's published
-//! numbers for Ryoan, SCONE, Graphene-SGX and Occlum.
+//! rewriter), the annotation template table and the P0 runtime; we count the
+//! real lines of this repository and print them against the paper's
+//! published numbers for Ryoan, SCONE, Graphene-SGX and Occlum.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deflection_bench::tcb::{code_lines, total_lines, TCB_SOURCES};

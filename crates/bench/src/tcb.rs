@@ -12,7 +12,7 @@ pub const TCB_SOURCES: &[(&str, &str)] = &[
     ("consumer/verifier", include_str!("../../core/src/consumer/verifier.rs")),
     ("consumer/rewriter", include_str!("../../core/src/consumer/rewriter.rs")),
     ("consumer/mod", include_str!("../../core/src/consumer/mod.rs")),
-    ("annotations (matchers)", include_str!("../../core/src/annotations.rs")),
+    ("annotation templates", include_str!("../../core/src/annotations.rs")),
     ("runtime (P0 wrappers)", include_str!("../../core/src/runtime.rs")),
     // The sealed install cache runs in-enclave: it derives the sealing
     // key, verifies the MAC and rebuilds the image before anything runs.

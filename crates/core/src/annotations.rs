@@ -1,11 +1,15 @@
 //! Security-annotation templates: the exact instruction sequences the code
-//! producer implants (paper Section V-A, Fig. 5) and the matchers the
-//! in-enclave verifier uses to re-recognize them after disassembly.
+//! producer implants (paper Section V-A, Fig. 5), each written **once**, as
+//! a list of [`Step`]s in [`TEMPLATES`].
 //!
-//! Emission and matching live in one module **on purpose**: the verifier's
-//! soundness depends on recognizing precisely what the producer emits, and
-//! keeping both sides of each template adjacent makes divergence impossible
-//! to miss (the round-trip is property-tested).
+//! Every side reads that one table: the producer's emitter
+//! ([`crate::producer::emit_template`]) walks the steps to implant a
+//! template, the in-enclave verifier matches the same steps after
+//! disassembly ([`match_any`]), and the rewriter patches the placeholder
+//! immediates of exactly the template's `MovRI` steps. A template's shape
+//! therefore cannot diverge between producer and consumer (the round-trip
+//! is also property-tested). The emitter builds the compiler's machine IR,
+//! so it lives in the producer, outside the counted in-enclave TCB.
 //!
 //! All templates use `r11` (and where noted `r10`) as scratch — registers
 //! the DCL code generator never allocates — plus the save/restore pattern of
@@ -17,7 +21,6 @@
 use crate::policy::abort_codes;
 use deflection_analysis::AnalysisConfig;
 use deflection_isa::{AluOp, CondCode, Inst, MemOperand, Reg};
-use deflection_lang::mir::{MFunction, MInst};
 use deflection_sgx_sim::layout::EnclaveLayout;
 
 /// Placeholder for the store window's lower bound (P1/P3/P4).
@@ -118,7 +121,7 @@ pub fn is_exempt_frame_store(mem: &MemOperand) -> bool {
         && (mem.disp as i64) >= -FRAME_STORE_LIMIT
 }
 
-/// Kinds of annotation template.
+/// Kinds of annotation template, in [`TEMPLATES`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TemplateKind {
     /// P1/P3/P4 store-bounds guard; subject = the guarded store.
@@ -130,12 +133,20 @@ pub enum TemplateKind {
     /// Baseline branch-table lowering without the bounds check; subject =
     /// the indirect branch.
     CfiUnchecked,
-    /// P5 shadow-stack push at function entry.
-    Prologue,
-    /// P5 shadow-stack pop + compare; subject = the `ret`.
-    Epilogue,
     /// P6 SSA marker check with AEX counting.
     AexCheck,
+    /// P5 shadow-stack pop + compare; subject = the `ret`.
+    Epilogue,
+    /// P5 shadow-stack push at function entry.
+    Prologue,
+}
+
+impl TemplateKind {
+    /// This kind's entry in [`TEMPLATES`].
+    #[must_use]
+    pub(crate) fn template(self) -> &'static Template {
+        &TEMPLATES[self as usize]
+    }
 }
 
 /// A matched template instance over the disassembled instruction list.
@@ -151,557 +162,256 @@ pub struct Instance {
     pub subject_idx: Option<usize>,
 }
 
-// ---------------------------------------------------------------------------
-// Emission (producer side)
-// ---------------------------------------------------------------------------
-
-fn abort(f: &mut MFunction, code: u8) {
-    f.real(Inst::Abort { code });
-}
-
-/// Emits the P1/P3/P4 store guard (paper Fig. 5) for a store whose
-/// destination operand is `mem`, followed by nothing — the caller emits the
-/// store itself immediately after.
-///
-/// # Panics
-///
-/// Panics if `mem` uses `rsp` (the guard's `lea` would observe a shifted
-/// stack pointer); the DCL code generator never produces such stores.
-pub fn emit_store_guard(f: &mut MFunction, mem: &MemOperand) {
-    assert!(!mem.uses(Reg::RSP), "store guard cannot check rsp-relative stores");
-    let ok1 = f.new_label();
-    let ok2 = f.new_label();
-    f.real(Inst::Push { reg: Reg::RBX });
-    f.real(Inst::Push { reg: Reg::RAX });
-    f.real(Inst::Lea { dst: Reg::RAX, mem: *mem });
-    f.real(Inst::MovRI { dst: Reg::RBX, imm: PH_STORE_LO });
-    f.real(Inst::CmpRR { lhs: Reg::RAX, rhs: Reg::RBX });
-    f.push(MInst::Jcc(CondCode::Ae, ok1));
-    abort(f, abort_codes::STORE_BOUNDS);
-    f.push(MInst::Label(ok1));
-    f.real(Inst::MovRI { dst: Reg::RBX, imm: PH_STORE_HI });
-    f.real(Inst::CmpRR { lhs: Reg::RAX, rhs: Reg::RBX });
-    f.push(MInst::Jcc(CondCode::B, ok2));
-    abort(f, abort_codes::STORE_BOUNDS);
-    f.push(MInst::Label(ok2));
-    f.real(Inst::Pop { reg: Reg::RAX });
-    f.real(Inst::Pop { reg: Reg::RBX });
-}
-
-/// Emits the P2 stack-pointer guard; the caller emits it immediately after
-/// every instruction that explicitly writes `rsp`.
-pub fn emit_rsp_guard(f: &mut MFunction) {
-    let ok1 = f.new_label();
-    let ok2 = f.new_label();
-    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_STACK_LO });
-    f.real(Inst::CmpRR { lhs: Reg::RSP, rhs: Reg::R11 });
-    f.push(MInst::Jcc(CondCode::Ae, ok1));
-    abort(f, abort_codes::RSP_BOUNDS);
-    f.push(MInst::Label(ok1));
-    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_STACK_HI });
-    f.real(Inst::CmpRR { lhs: Reg::RSP, rhs: Reg::R11 });
-    f.push(MInst::Jcc(CondCode::Be, ok2));
-    abort(f, abort_codes::RSP_BOUNDS);
-    f.push(MInst::Label(ok2));
-}
-
-/// Emits the branch-table lowering of an indirect branch whose register
-/// holds a table *index*: optionally bounds-checked (P5), then the table
-/// load and the actual branch (`call` when `is_call`, `jmp` otherwise).
-pub fn emit_cfi_branch(f: &mut MFunction, reg: Reg, is_call: bool, checked: bool) {
-    assert!(reg != Reg::R11, "indirect-branch register must not be the annotation scratch");
-    if checked {
-        let ok = f.new_label();
-        f.real(Inst::MovRI { dst: Reg::R11, imm: PH_BT_LEN });
-        f.real(Inst::CmpRR { lhs: reg, rhs: Reg::R11 });
-        f.push(MInst::Jcc(CondCode::B, ok));
-        abort(f, abort_codes::CFI_FORWARD);
-        f.push(MInst::Label(ok));
-    }
-    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_BT_BASE });
-    f.real(Inst::Load { dst: reg, mem: MemOperand::base_index(Reg::R11, reg, 8, 0) });
-    if is_call {
-        f.real(Inst::CallInd { reg });
-    } else {
-        f.real(Inst::JmpInd { reg });
-    }
-}
-
-/// Emits the P5 shadow-stack prologue at function entry: pushes the return
-/// address (`[rsp]`) onto the downward-growing shadow stack.
-pub fn emit_prologue(f: &mut MFunction) {
-    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_SS_SLOT });
-    f.real(Inst::Load { dst: Reg::RAX, mem: MemOperand::base_disp(Reg::R11, 0) });
-    f.real(Inst::AluRI { op: AluOp::Sub, dst: Reg::RAX, imm: 8 });
-    f.real(Inst::Load { dst: Reg::RBX, mem: MemOperand::base_disp(Reg::RSP, 0) });
-    f.real(Inst::Store { mem: MemOperand::base_disp(Reg::RAX, 0), src: Reg::RBX });
-    f.real(Inst::Store { mem: MemOperand::base_disp(Reg::R11, 0), src: Reg::RAX });
-}
-
-/// Emits the P5 shadow-stack epilogue followed by the `ret` it protects:
-/// pops the saved return address and aborts on mismatch with `[rsp]`.
-pub fn emit_epilogue_and_ret(f: &mut MFunction) {
-    let ok = f.new_label();
-    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_SS_SLOT });
-    f.real(Inst::Load { dst: Reg::RBX, mem: MemOperand::base_disp(Reg::R11, 0) });
-    f.real(Inst::Load { dst: Reg::R10, mem: MemOperand::base_disp(Reg::RBX, 0) });
-    f.real(Inst::AluRI { op: AluOp::Add, dst: Reg::RBX, imm: 8 });
-    f.real(Inst::Store { mem: MemOperand::base_disp(Reg::R11, 0), src: Reg::RBX });
-    f.real(Inst::CmpMem { reg: Reg::R10, mem: MemOperand::base_disp(Reg::RSP, 0) });
-    f.push(MInst::Jcc(CondCode::E, ok));
-    abort(f, abort_codes::CFI_RETURN);
-    f.push(MInst::Label(ok));
-    f.push(MInst::Ret);
-}
-
-/// Emits the P6 SSA marker check: on a clobbered marker it runs the
-/// co-location probe, counts the AEX, aborts past the threshold, and
-/// re-arms the marker (HyperRace-style, paper Section IV-C).
-pub fn emit_aex_check(f: &mut MFunction) {
-    let ok = f.new_label();
-    let counted = f.new_label();
-    let rearm = f.new_label();
-    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_SSA_MARKER });
-    f.real(Inst::Load { dst: Reg::R10, mem: MemOperand::base_disp(Reg::R11, 0) });
-    f.real(Inst::CmpRI { lhs: Reg::R10, imm: SSA_MARKER_VALUE as i64 });
-    f.push(MInst::Jcc(CondCode::E, ok));
-    // AEX detected: co-location probe first.
-    f.real(Inst::Push { reg: Reg::RAX });
-    f.real(Inst::AexProbe);
-    f.real(Inst::CmpRI { lhs: Reg::RAX, imm: 0 });
-    f.real(Inst::Pop { reg: Reg::RAX });
-    f.push(MInst::Jcc(CondCode::Ne, counted));
-    abort(f, abort_codes::AEX);
-    f.push(MInst::Label(counted));
-    // Count the AEX and compare against the threshold.
-    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_AEX_SLOT });
-    f.real(Inst::Load { dst: Reg::R10, mem: MemOperand::base_disp(Reg::R11, 0) });
-    f.real(Inst::AluRI { op: AluOp::Add, dst: Reg::R10, imm: 1 });
-    f.real(Inst::Store { mem: MemOperand::base_disp(Reg::R11, 0), src: Reg::R10 });
-    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_AEX_MAX });
-    f.real(Inst::CmpRR { lhs: Reg::R10, rhs: Reg::R11 });
-    f.push(MInst::Jcc(CondCode::B, rearm));
-    abort(f, abort_codes::AEX);
-    f.push(MInst::Label(rearm));
-    // Re-arm the marker.
-    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_SSA_MARKER });
-    f.real(Inst::StoreImm { mem: MemOperand::base_disp(Reg::R11, 0), imm: SSA_MARKER_VALUE });
-    f.push(MInst::Label(ok));
-}
-
-// ---------------------------------------------------------------------------
-// Matching (consumer side)
-// ---------------------------------------------------------------------------
-
-/// A view over the disassembled, address-ordered instruction list.
+/// One instruction of a template.
 #[derive(Debug, Clone, Copy)]
-pub struct Code<'a> {
-    /// `(offset, instruction, encoded length)` sorted by offset.
-    pub insts: &'a [(usize, Inst, usize)],
+pub enum Step {
+    /// Exactly this instruction.
+    Is(Inst),
+    /// `jcc cc` landing at the end of step `n - 1`: right past the abort it
+    /// skips, or past the whole template when `n` is its length.
+    Jcc(CondCode, usize),
+    /// `lea rax, M`: binds the operand `M` the store guard checks.
+    LeaRax,
+    /// The guarded store (`Store`, `Store8` or `StoreImm`) to `M`; `M` must
+    /// not use `rsp`, which the guard's pushes shift.
+    StoreToM,
+    /// `cmp R, r11`: binds the branch-table register `R`.
+    CmpR11,
+    /// `load R, [r11 + R*8]`: the table fetch (binds `R` if no check did).
+    LoadTable,
+    /// `call R` or `jmp R`: the lowered indirect branch.
+    BranchR,
 }
 
-impl<'a> Code<'a> {
-    /// Instruction at list index `i`.
-    #[must_use]
-    pub fn inst(&self, i: usize) -> Option<&'a Inst> {
-        self.insts.get(i).map(|(_, inst, _)| inst)
-    }
-
-    /// Offset of instruction `i`.
-    #[must_use]
-    pub fn offset(&self, i: usize) -> Option<usize> {
-        self.insts.get(i).map(|(off, _, _)| *off)
-    }
-
-    /// Offset one past instruction `i`.
-    #[must_use]
-    pub fn end_offset(&self, i: usize) -> Option<usize> {
-        self.insts.get(i).map(|(off, _, len)| off + len)
-    }
-
-    /// Whether instructions `i` and `i+1` are byte-adjacent (no gap).
-    fn adjacent(&self, i: usize) -> bool {
-        match (self.end_offset(i), self.offset(i + 1)) {
-            (Some(e), Some(s)) => e == s,
-            _ => false,
-        }
-    }
-
-    /// Whether the `Jcc` at index `i` jumps exactly to the instruction at
-    /// index `target_idx`.
-    fn jcc_lands_at(&self, i: usize, cc: CondCode, target_idx: usize) -> bool {
-        let Some(Inst::Jcc { cc: actual_cc, rel }) = self.inst(i) else { return false };
-        if *actual_cc != cc {
-            return false;
-        }
-        let (Some(end), Some(target)) = (self.end_offset(i), self.offset(target_idx)) else {
-            return false;
-        };
-        end as i64 + *rel as i64 == target as i64
-    }
-
-    /// Whether the `Jcc` at index `i` jumps exactly to the byte *after*
-    /// instruction `last_idx` (used when the landing pad is outside the
-    /// template).
-    fn jcc_lands_after(&self, i: usize, cc: CondCode, last_idx: usize) -> bool {
-        let Some(Inst::Jcc { cc: actual_cc, rel }) = self.inst(i) else { return false };
-        if *actual_cc != cc {
-            return false;
-        }
-        let (Some(end), Some(target)) = (self.end_offset(i), self.end_offset(last_idx)) else {
-            return false;
-        };
-        end as i64 + *rel as i64 == target as i64
-    }
-
-    /// Checks that instructions `start..=end` form one byte-contiguous run.
-    fn contiguous(&self, start: usize, end: usize) -> bool {
-        (start..end).all(|i| self.adjacent(i))
-    }
+/// One annotation template.
+#[derive(Debug)]
+pub struct Template {
+    /// Which template.
+    pub kind: TemplateKind,
+    /// Whether the last step is the guarded program instruction.
+    pub has_subject: bool,
+    /// The instructions, in emission order.
+    pub steps: &'static [Step],
 }
 
-fn is_movri(inst: Option<&Inst>, dst: Reg, imm: u64) -> bool {
-    matches!(inst, Some(Inst::MovRI { dst: d, imm: v }) if *d == dst && *v == imm)
-}
-
-fn is_abort(inst: Option<&Inst>, code: u8) -> bool {
-    matches!(inst, Some(Inst::Abort { code: c }) if *c == code)
-}
-
-/// Tries to match the store guard starting at index `i`; the guarded store
-/// is the 14th instruction.
+/// The branch-table entry `[r11 + reg*8]` a lowering fetches its target from.
 #[must_use]
-pub fn match_store_guard(code: &Code<'_>, i: usize) -> Option<Instance> {
-    if !matches!(code.inst(i), Some(Inst::Push { reg: Reg::RBX })) {
-        return None;
-    }
-    if !matches!(code.inst(i + 1), Some(Inst::Push { reg: Reg::RAX })) {
-        return None;
-    }
-    let Some(Inst::Lea { dst: Reg::RAX, mem: lea_mem }) = code.inst(i + 2) else { return None };
-    if !is_movri(code.inst(i + 3), Reg::RBX, PH_STORE_LO) {
-        return None;
-    }
-    if !matches!(code.inst(i + 4), Some(Inst::CmpRR { lhs: Reg::RAX, rhs: Reg::RBX })) {
-        return None;
-    }
-    if !code.jcc_lands_at(i + 5, CondCode::Ae, i + 7) {
-        return None;
-    }
-    if !is_abort(code.inst(i + 6), abort_codes::STORE_BOUNDS) {
-        return None;
-    }
-    if !is_movri(code.inst(i + 7), Reg::RBX, PH_STORE_HI) {
-        return None;
-    }
-    if !matches!(code.inst(i + 8), Some(Inst::CmpRR { lhs: Reg::RAX, rhs: Reg::RBX })) {
-        return None;
-    }
-    if !code.jcc_lands_at(i + 9, CondCode::B, i + 11) {
-        return None;
-    }
-    if !is_abort(code.inst(i + 10), abort_codes::STORE_BOUNDS) {
-        return None;
-    }
-    if !matches!(code.inst(i + 11), Some(Inst::Pop { reg: Reg::RAX })) {
-        return None;
-    }
-    if !matches!(code.inst(i + 12), Some(Inst::Pop { reg: Reg::RBX })) {
-        return None;
-    }
-    // The subject store: same memory operand as the lea checked, no rsp.
-    let store_mem = code.inst(i + 13)?.stored_mem()?;
-    if store_mem != lea_mem || store_mem.uses(Reg::RSP) {
-        return None;
-    }
-    if !code.contiguous(i, i + 13) {
-        return None;
-    }
-    Some(Instance {
+pub(crate) const fn table_entry(reg: Reg) -> MemOperand {
+    MemOperand { base: Some(Reg::R11), index: Some((reg, 8)), disp: 0 }
+}
+
+const fn mov(dst: Reg, imm: u64) -> Step {
+    Step::Is(Inst::MovRI { dst, imm })
+}
+
+const fn abort(code: u8) -> Step {
+    Step::Is(Inst::Abort { code })
+}
+
+const fn load(dst: Reg, base: Reg) -> Step {
+    Step::Is(Inst::Load { dst, mem: MemOperand::base_disp(base, 0) })
+}
+
+const fn store(base: Reg, src: Reg) -> Step {
+    Step::Is(Inst::Store { mem: MemOperand::base_disp(base, 0), src })
+}
+
+const fn cmp(lhs: Reg, rhs: Reg) -> Step {
+    Step::Is(Inst::CmpRR { lhs, rhs })
+}
+
+const fn alu(op: AluOp, dst: Reg, imm: i64) -> Step {
+    Step::Is(Inst::AluRI { op, dst, imm })
+}
+
+/// Every template, in the order [`match_any`] tries them (indexed by
+/// [`TemplateKind`]). Prologue and epilogue share their first step, so the
+/// longer epilogue is tried first.
+pub static TEMPLATES: [Template; 7] = [
+    // Paper Fig. 5: save scratch, check M against both store bounds.
+    Template {
         kind: TemplateKind::StoreGuard,
-        start_idx: i,
-        end_idx: i + 13,
-        subject_idx: Some(i + 13),
-    })
-}
-
-/// Tries to match the rsp guard starting at index `i`.
-#[must_use]
-pub fn match_rsp_guard(code: &Code<'_>, i: usize) -> Option<Instance> {
-    if !is_movri(code.inst(i), Reg::R11, PH_STACK_LO) {
-        return None;
-    }
-    if !matches!(code.inst(i + 1), Some(Inst::CmpRR { lhs: Reg::RSP, rhs: Reg::R11 })) {
-        return None;
-    }
-    if !code.jcc_lands_at(i + 2, CondCode::Ae, i + 4) {
-        return None;
-    }
-    if !is_abort(code.inst(i + 3), abort_codes::RSP_BOUNDS) {
-        return None;
-    }
-    if !is_movri(code.inst(i + 4), Reg::R11, PH_STACK_HI) {
-        return None;
-    }
-    if !matches!(code.inst(i + 5), Some(Inst::CmpRR { lhs: Reg::RSP, rhs: Reg::R11 })) {
-        return None;
-    }
-    if !code.jcc_lands_at(i + 6, CondCode::Be, i + 8) {
-        return None;
-    }
-    if !is_abort(code.inst(i + 7), abort_codes::RSP_BOUNDS) {
-        return None;
-    }
-    if !code.contiguous(i, i + 7) {
-        return None;
-    }
-    Some(Instance { kind: TemplateKind::RspGuard, start_idx: i, end_idx: i + 7, subject_idx: None })
-}
-
-fn match_cfi_tail(code: &Code<'_>, i: usize) -> Option<(usize, Reg)> {
-    if !is_movri(code.inst(i), Reg::R11, PH_BT_BASE) {
-        return None;
-    }
-    let Some(Inst::Load { dst, mem }) = code.inst(i + 1) else { return None };
-    let expected = MemOperand::base_index(Reg::R11, *dst, 8, 0);
-    if *mem != expected {
-        return None;
-    }
-    match code.inst(i + 2) {
-        Some(Inst::CallInd { reg }) | Some(Inst::JmpInd { reg }) if reg == dst => {
-            Some((i + 2, *reg))
-        }
-        _ => None,
-    }
-}
-
-/// Tries to match a *checked* CFI lowering starting at index `i`.
-#[must_use]
-pub fn match_cfi_checked(code: &Code<'_>, i: usize) -> Option<Instance> {
-    if !is_movri(code.inst(i), Reg::R11, PH_BT_LEN) {
-        return None;
-    }
-    let Some(Inst::CmpRR { lhs, rhs: Reg::R11 }) = code.inst(i + 1) else { return None };
-    if !code.jcc_lands_at(i + 2, CondCode::B, i + 4) {
-        return None;
-    }
-    if !is_abort(code.inst(i + 3), abort_codes::CFI_FORWARD) {
-        return None;
-    }
-    let (subject, reg) = match_cfi_tail(code, i + 4)?;
-    if reg != *lhs {
-        return None;
-    }
-    if !code.contiguous(i, subject) {
-        return None;
-    }
-    Some(Instance {
+        has_subject: true,
+        steps: &[
+            Step::Is(Inst::Push { reg: Reg::RBX }),
+            Step::Is(Inst::Push { reg: Reg::RAX }),
+            Step::LeaRax,
+            mov(Reg::RBX, PH_STORE_LO),
+            cmp(Reg::RAX, Reg::RBX),
+            Step::Jcc(CondCode::Ae, 7),
+            abort(abort_codes::STORE_BOUNDS),
+            mov(Reg::RBX, PH_STORE_HI),
+            cmp(Reg::RAX, Reg::RBX),
+            Step::Jcc(CondCode::B, 11),
+            abort(abort_codes::STORE_BOUNDS),
+            Step::Is(Inst::Pop { reg: Reg::RAX }),
+            Step::Is(Inst::Pop { reg: Reg::RBX }),
+            Step::StoreToM,
+        ],
+    },
+    // Runs entirely in scratch: it must not store through a corrupt rsp.
+    Template {
+        kind: TemplateKind::RspGuard,
+        has_subject: false,
+        steps: &[
+            mov(Reg::R11, PH_STACK_LO),
+            cmp(Reg::RSP, Reg::R11),
+            Step::Jcc(CondCode::Ae, 4),
+            abort(abort_codes::RSP_BOUNDS),
+            mov(Reg::R11, PH_STACK_HI),
+            cmp(Reg::RSP, Reg::R11),
+            Step::Jcc(CondCode::Be, 8),
+            abort(abort_codes::RSP_BOUNDS),
+        ],
+    },
+    // Function-pointer values are table indices, bounds-checked under P5.
+    Template {
         kind: TemplateKind::CfiChecked,
-        start_idx: i,
-        end_idx: subject,
-        subject_idx: Some(subject),
-    })
-}
-
-/// Tries to match an *unchecked* (baseline) CFI lowering at index `i`.
-#[must_use]
-pub fn match_cfi_unchecked(code: &Code<'_>, i: usize) -> Option<Instance> {
-    let (subject, _) = match_cfi_tail(code, i)?;
-    if !code.contiguous(i, subject) {
-        return None;
-    }
-    Some(Instance {
+        has_subject: true,
+        steps: &[
+            mov(Reg::R11, PH_BT_LEN),
+            Step::CmpR11,
+            Step::Jcc(CondCode::B, 4),
+            abort(abort_codes::CFI_FORWARD),
+            mov(Reg::R11, PH_BT_BASE),
+            Step::LoadTable,
+            Step::BranchR,
+        ],
+    },
+    Template {
         kind: TemplateKind::CfiUnchecked,
-        start_idx: i,
-        end_idx: subject,
-        subject_idx: Some(subject),
-    })
-}
-
-/// Tries to match the shadow-stack prologue at index `i`.
-#[must_use]
-pub fn match_prologue(code: &Code<'_>, i: usize) -> Option<Instance> {
-    if !is_movri(code.inst(i), Reg::R11, PH_SS_SLOT) {
-        return None;
-    }
-    if !matches!(code.inst(i + 1), Some(Inst::Load { dst: Reg::RAX, mem }) if *mem == MemOperand::base_disp(Reg::R11, 0))
-    {
-        return None;
-    }
-    if !matches!(code.inst(i + 2), Some(Inst::AluRI { op: AluOp::Sub, dst: Reg::RAX, imm: 8 })) {
-        return None;
-    }
-    if !matches!(code.inst(i + 3), Some(Inst::Load { dst: Reg::RBX, mem }) if *mem == MemOperand::base_disp(Reg::RSP, 0))
-    {
-        return None;
-    }
-    if !matches!(code.inst(i + 4), Some(Inst::Store { mem, src: Reg::RBX }) if *mem == MemOperand::base_disp(Reg::RAX, 0))
-    {
-        return None;
-    }
-    if !matches!(code.inst(i + 5), Some(Inst::Store { mem, src: Reg::RAX }) if *mem == MemOperand::base_disp(Reg::R11, 0))
-    {
-        return None;
-    }
-    if !code.contiguous(i, i + 5) {
-        return None;
-    }
-    Some(Instance { kind: TemplateKind::Prologue, start_idx: i, end_idx: i + 5, subject_idx: None })
-}
-
-/// Tries to match the shadow-stack epilogue (ending in `ret`) at index `i`.
-#[must_use]
-pub fn match_epilogue(code: &Code<'_>, i: usize) -> Option<Instance> {
-    if !is_movri(code.inst(i), Reg::R11, PH_SS_SLOT) {
-        return None;
-    }
-    if !matches!(code.inst(i + 1), Some(Inst::Load { dst: Reg::RBX, mem }) if *mem == MemOperand::base_disp(Reg::R11, 0))
-    {
-        return None;
-    }
-    if !matches!(code.inst(i + 2), Some(Inst::Load { dst: Reg::R10, mem }) if *mem == MemOperand::base_disp(Reg::RBX, 0))
-    {
-        return None;
-    }
-    if !matches!(code.inst(i + 3), Some(Inst::AluRI { op: AluOp::Add, dst: Reg::RBX, imm: 8 })) {
-        return None;
-    }
-    if !matches!(code.inst(i + 4), Some(Inst::Store { mem, src: Reg::RBX }) if *mem == MemOperand::base_disp(Reg::R11, 0))
-    {
-        return None;
-    }
-    if !matches!(code.inst(i + 5), Some(Inst::CmpMem { reg: Reg::R10, mem }) if *mem == MemOperand::base_disp(Reg::RSP, 0))
-    {
-        return None;
-    }
-    if !code.jcc_lands_at(i + 6, CondCode::E, i + 8) {
-        return None;
-    }
-    if !is_abort(code.inst(i + 7), abort_codes::CFI_RETURN) {
-        return None;
-    }
-    if !matches!(code.inst(i + 8), Some(Inst::Ret)) {
-        return None;
-    }
-    if !code.contiguous(i, i + 8) {
-        return None;
-    }
-    Some(Instance {
-        kind: TemplateKind::Epilogue,
-        start_idx: i,
-        end_idx: i + 8,
-        subject_idx: Some(i + 8),
-    })
-}
-
-/// Tries to match the P6 AEX check at index `i` (19 instructions).
-#[must_use]
-pub fn match_aex_check(code: &Code<'_>, i: usize) -> Option<Instance> {
-    if !is_movri(code.inst(i), Reg::R11, PH_SSA_MARKER) {
-        return None;
-    }
-    if !matches!(code.inst(i + 1), Some(Inst::Load { dst: Reg::R10, mem }) if *mem == MemOperand::base_disp(Reg::R11, 0))
-    {
-        return None;
-    }
-    if !matches!(
-        code.inst(i + 2),
-        Some(Inst::CmpRI { lhs: Reg::R10, imm }) if *imm == SSA_MARKER_VALUE as i64
-    ) {
-        return None;
-    }
-    // Fast path jumps past the whole AEX path, landing right after the
-    // re-arm store at i+19.
-    if !code.jcc_lands_after(i + 3, CondCode::E, i + 19) {
-        return None;
-    }
-    if !matches!(code.inst(i + 4), Some(Inst::Push { reg: Reg::RAX })) {
-        return None;
-    }
-    if !matches!(code.inst(i + 5), Some(Inst::AexProbe)) {
-        return None;
-    }
-    if !matches!(code.inst(i + 6), Some(Inst::CmpRI { lhs: Reg::RAX, imm: 0 })) {
-        return None;
-    }
-    if !matches!(code.inst(i + 7), Some(Inst::Pop { reg: Reg::RAX })) {
-        return None;
-    }
-    if !code.jcc_lands_at(i + 8, CondCode::Ne, i + 10) {
-        return None;
-    }
-    if !is_abort(code.inst(i + 9), abort_codes::AEX) {
-        return None;
-    }
-    if !is_movri(code.inst(i + 10), Reg::R11, PH_AEX_SLOT) {
-        return None;
-    }
-    if !matches!(code.inst(i + 11), Some(Inst::Load { dst: Reg::R10, mem }) if *mem == MemOperand::base_disp(Reg::R11, 0))
-    {
-        return None;
-    }
-    if !matches!(code.inst(i + 12), Some(Inst::AluRI { op: AluOp::Add, dst: Reg::R10, imm: 1 })) {
-        return None;
-    }
-    if !matches!(code.inst(i + 13), Some(Inst::Store { mem, src: Reg::R10 }) if *mem == MemOperand::base_disp(Reg::R11, 0))
-    {
-        return None;
-    }
-    if !is_movri(code.inst(i + 14), Reg::R11, PH_AEX_MAX) {
-        return None;
-    }
-    if !matches!(code.inst(i + 15), Some(Inst::CmpRR { lhs: Reg::R10, rhs: Reg::R11 })) {
-        return None;
-    }
-    if !code.jcc_lands_at(i + 16, CondCode::B, i + 18) {
-        return None;
-    }
-    if !is_abort(code.inst(i + 17), abort_codes::AEX) {
-        return None;
-    }
-    if !is_movri(code.inst(i + 18), Reg::R11, PH_SSA_MARKER) {
-        return None;
-    }
-    // The re-arm store completes the template.
-    if !matches!(
-        code.inst(i + 19),
-        Some(Inst::StoreImm { mem, imm }) if *mem == MemOperand::base_disp(Reg::R11, 0)
-            && *imm == SSA_MARKER_VALUE
-    ) {
-        return None;
-    }
-    if !code.contiguous(i, i + 19) {
-        return None;
-    }
-    Some(Instance {
+        has_subject: true,
+        steps: &[mov(Reg::R11, PH_BT_BASE), Step::LoadTable, Step::BranchR],
+    },
+    // HyperRace-style (paper Section IV-C): on a clobbered SSA marker run
+    // the co-location probe, count the AEX, abort past the threshold and
+    // re-arm the marker; the fast path jumps past all of it.
+    Template {
         kind: TemplateKind::AexCheck,
+        has_subject: false,
+        steps: &[
+            mov(Reg::R11, PH_SSA_MARKER),
+            load(Reg::R10, Reg::R11),
+            Step::Is(Inst::CmpRI { lhs: Reg::R10, imm: SSA_MARKER_VALUE as i64 }),
+            Step::Jcc(CondCode::E, 20),
+            Step::Is(Inst::Push { reg: Reg::RAX }),
+            Step::Is(Inst::AexProbe),
+            Step::Is(Inst::CmpRI { lhs: Reg::RAX, imm: 0 }),
+            Step::Is(Inst::Pop { reg: Reg::RAX }),
+            Step::Jcc(CondCode::Ne, 10),
+            abort(abort_codes::AEX),
+            mov(Reg::R11, PH_AEX_SLOT),
+            load(Reg::R10, Reg::R11),
+            alu(AluOp::Add, Reg::R10, 1),
+            store(Reg::R11, Reg::R10),
+            mov(Reg::R11, PH_AEX_MAX),
+            cmp(Reg::R10, Reg::R11),
+            Step::Jcc(CondCode::B, 18),
+            abort(abort_codes::AEX),
+            mov(Reg::R11, PH_SSA_MARKER),
+            Step::Is(Inst::StoreImm {
+                mem: MemOperand::base_disp(Reg::R11, 0),
+                imm: SSA_MARKER_VALUE,
+            }),
+        ],
+    },
+    // Pop the saved return address off the shadow stack and abort unless
+    // it equals the one at [rsp].
+    Template {
+        kind: TemplateKind::Epilogue,
+        has_subject: true,
+        steps: &[
+            mov(Reg::R11, PH_SS_SLOT),
+            load(Reg::RBX, Reg::R11),
+            load(Reg::R10, Reg::RBX),
+            alu(AluOp::Add, Reg::RBX, 8),
+            store(Reg::R11, Reg::RBX),
+            Step::Is(Inst::CmpMem { reg: Reg::R10, mem: MemOperand::base_disp(Reg::RSP, 0) }),
+            Step::Jcc(CondCode::E, 8),
+            abort(abort_codes::CFI_RETURN),
+            Step::Is(Inst::Ret),
+        ],
+    },
+    // Push the return address ([rsp]) onto the downward-growing shadow stack.
+    Template {
+        kind: TemplateKind::Prologue,
+        has_subject: false,
+        steps: &[
+            mov(Reg::R11, PH_SS_SLOT),
+            load(Reg::RAX, Reg::R11),
+            alu(AluOp::Sub, Reg::RAX, 8),
+            load(Reg::RBX, Reg::RSP),
+            store(Reg::RAX, Reg::RBX),
+            store(Reg::R11, Reg::RAX),
+        ],
+    },
+];
+
+/// Tries to match `t` at index `i` of the disassembled, offset-ordered
+/// `(offset, instruction, length)` list: every step in order, each
+/// instruction byte-adjacent to the one before.
+fn match_template(insts: &[(usize, Inst, usize)], t: &Template, i: usize) -> Option<Instance> {
+    let window = insts.get(i..i + t.steps.len())?;
+    let end = |k: usize| window.get(k).map(|(off, _, len)| off + len);
+    let (mut mem, mut reg) = (None, None);
+    let mut at = window.first()?.0;
+    for (step, (off, inst, len)) in t.steps.iter().zip(window) {
+        if *off != at {
+            return None;
+        }
+        at = off + len;
+        let matched = match (*step, inst) {
+            (Step::Is(want), _) => *inst == want,
+            (Step::Jcc(cc, n), Inst::Jcc { cc: c, rel }) => {
+                *c == cc && end(n - 1) == Some(at.wrapping_add_signed(*rel as isize))
+            }
+            (Step::LeaRax, Inst::Lea { dst: Reg::RAX, mem: m }) => {
+                mem = Some(*m);
+                true
+            }
+            (Step::StoreToM, _) => {
+                inst.stored_mem().is_some_and(|m| mem == Some(*m) && !m.uses(Reg::RSP))
+            }
+            (Step::CmpR11, Inst::CmpRR { lhs, rhs: Reg::R11 }) => {
+                reg = Some(*lhs);
+                true
+            }
+            (Step::LoadTable, Inst::Load { dst, mem: m }) => {
+                *m == table_entry(*dst) && *reg.get_or_insert(*dst) == *dst
+            }
+            (Step::BranchR, Inst::CallInd { reg: r } | Inst::JmpInd { reg: r }) => reg == Some(*r),
+            _ => false,
+        };
+        if !matched {
+            return None;
+        }
+    }
+    let last = i + t.steps.len() - 1;
+    Some(Instance {
+        kind: t.kind,
         start_idx: i,
-        end_idx: i + 19,
-        subject_idx: None,
+        end_idx: last,
+        subject_idx: t.has_subject.then_some(last),
     })
 }
 
-/// Attempts all templates at index `i`, in signature-disambiguated order.
+/// Attempts all templates at index `i`, in [`TEMPLATES`] order.
 #[must_use]
-pub fn match_any(code: &Code<'_>, i: usize) -> Option<Instance> {
-    match_store_guard(code, i)
-        .or_else(|| match_rsp_guard(code, i))
-        .or_else(|| match_cfi_checked(code, i))
-        .or_else(|| match_cfi_unchecked(code, i))
-        .or_else(|| match_aex_check(code, i))
-        .or_else(|| match_epilogue(code, i))
-        .or_else(|| match_prologue(code, i))
+pub fn match_any(insts: &[(usize, Inst, usize)], i: usize) -> Option<Instance> {
+    TEMPLATES.iter().find_map(|t| match_template(insts, t, i))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::producer::emit_template;
     use deflection_isa::disassemble;
     use deflection_lang::asm::assemble;
-    use deflection_lang::mir::MirProgram;
+    use deflection_lang::mir::{MFunction, MirProgram};
+    use proptest::prelude::*;
 
     /// Assembles one function and returns the ordered instruction list.
-    fn roundtrip(f: MFunction, ibt: &[usize]) -> Vec<(usize, Inst, usize)> {
+    fn roundtrip(f: MFunction) -> Vec<(usize, Inst, usize)> {
         let p = MirProgram {
             entry: f.name.clone(),
             functions: vec![f],
@@ -709,116 +419,123 @@ mod tests {
             indirect_targets: vec![],
         };
         let obj = assemble(&p).unwrap();
-        let d = disassemble(&obj.text, 0, ibt).unwrap();
-        d.insts().to_vec()
+        disassemble(&obj.text, 0, &[]).unwrap().insts().to_vec()
     }
 
-    #[test]
-    fn store_guard_roundtrip() {
+    /// Emits `kind` (with `subject`), then a `halt`, and matches at 0.
+    fn emit_and_match(kind: TemplateKind, subject: Option<Inst>) -> Option<Instance> {
         let mut f = MFunction::new("t");
-        let mem = MemOperand::base_index(Reg::RCX, Reg::RDX, 8, 16);
-        emit_store_guard(&mut f, &mem);
-        f.real(Inst::Store { mem, src: Reg::RSI });
+        emit_template(&mut f, kind, subject);
         f.real(Inst::Halt);
-        let insts = roundtrip(f, &[]);
-        let code = Code { insts: &insts };
-        let m = match_store_guard(&code, 0).expect("emitted guard must match");
-        assert_eq!(m.end_idx, 13);
-        assert_eq!(m.subject_idx, Some(13));
-        assert_eq!(match_any(&code, 0).unwrap().kind, TemplateKind::StoreGuard);
+        match_any(&roundtrip(f), 0)
     }
 
     #[test]
-    fn store_guard_wrong_operand_rejected() {
-        // Guard checks [rcx] but the store writes [rdx] — classic evasion.
-        let mut f = MFunction::new("t");
-        emit_store_guard(&mut f, &MemOperand::base_disp(Reg::RCX, 0));
-        f.real(Inst::Store { mem: MemOperand::base_disp(Reg::RDX, 0), src: Reg::RSI });
-        f.real(Inst::Halt);
-        let insts = roundtrip(f, &[]);
-        let code = Code { insts: &insts };
-        assert!(match_store_guard(&code, 0).is_none());
+    fn templates_are_indexed_by_kind() {
+        for (k, t) in TEMPLATES.iter().enumerate() {
+            assert_eq!(t.kind as usize, k);
+            assert!(std::ptr::eq(t.kind.template(), t));
+            for (at, step) in t.steps.iter().enumerate() {
+                if let Step::Jcc(_, n) = step {
+                    assert!(*n > at + 1 && *n <= t.steps.len(), "{:?} step {at}", t.kind);
+                }
+                if let Step::Is(Inst::MovRI { imm, .. }) = step {
+                    assert!(PLACEHOLDER_IMMS.contains(imm), "{:?} step {at}", t.kind);
+                }
+            }
+        }
+    }
+
+    fn arb_reg() -> impl Strategy<Value = Reg> {
+        (0u8..16).prop_map(|i| Reg::from_index(i).unwrap())
+    }
+
+    fn arb_scale() -> impl Strategy<Value = u8> {
+        prop_oneof![Just(1u8), Just(2), Just(4), Just(8)]
+    }
+
+    /// A store of form `form` (0: `Store`, 1: `Store8`, 2: `StoreImm`) to `mem`.
+    fn store_to(form: u8, mem: MemOperand) -> Inst {
+        match form {
+            0 => Inst::Store { mem, src: Reg::RSI },
+            1 => Inst::Store8 { mem, src: Reg::RSI },
+            _ => Inst::StoreImm { mem, imm: -7 },
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn store_guard_roundtrips_for_any_operand(
+            base in proptest::option::of(arb_reg()),
+            index in proptest::option::of((arb_reg(), arb_scale())),
+            disp in any::<i32>(),
+            form in 0u8..3,
+        ) {
+            let mem = MemOperand { base, index, disp };
+            prop_assume!(!mem.uses(Reg::RSP));
+            let m = emit_and_match(TemplateKind::StoreGuard, Some(store_to(form, mem)));
+            let m = m.expect("emitted guard must match");
+            prop_assert_eq!(m.kind, TemplateKind::StoreGuard);
+            prop_assert_eq!(m.end_idx, 13);
+            prop_assert_eq!(m.subject_idx, Some(13));
+            // The guard checks `mem` but the store writes elsewhere: the
+            // classic evasion must not match.
+            let mut f = MFunction::new("t");
+            emit_template(&mut f, TemplateKind::StoreGuard, Some(store_to(form, mem)));
+            let other = MemOperand { disp: disp.wrapping_add(8), ..mem };
+            *f.insts.last_mut().unwrap() = deflection_lang::mir::MInst::Real(store_to(form, other));
+            f.real(Inst::Halt);
+            prop_assert!(match_any(&roundtrip(f), 0).is_none());
+        }
+
+        #[test]
+        fn cfi_lowering_roundtrips_for_any_register(
+            reg in arb_reg(),
+            is_call in any::<bool>(),
+            checked in any::<bool>(),
+        ) {
+            prop_assume!(reg != Reg::R11);
+            let branch = if is_call { Inst::CallInd { reg } } else { Inst::JmpInd { reg } };
+            let kind = if checked { TemplateKind::CfiChecked } else { TemplateKind::CfiUnchecked };
+            let m = emit_and_match(kind, Some(branch)).expect("emitted lowering must match");
+            let last = if checked { 6 } else { 2 };
+            prop_assert_eq!(m.kind, kind);
+            prop_assert_eq!(m.end_idx, last);
+            prop_assert_eq!(m.subject_idx, Some(last));
+        }
     }
 
     #[test]
-    fn rsp_guard_roundtrip() {
+    fn operand_free_templates_roundtrip() {
+        for (kind, last) in [(TemplateKind::RspGuard, 7), (TemplateKind::AexCheck, 19)] {
+            let m = emit_and_match(kind, None).expect("must match");
+            assert_eq!((m.kind, m.end_idx, m.subject_idx), (kind, last, None));
+        }
+        // Prologue and epilogue share their first step; match_any tells
+        // them apart.
         let mut f = MFunction::new("t");
-        emit_rsp_guard(&mut f);
-        f.real(Inst::Halt);
-        let insts = roundtrip(f, &[]);
-        let code = Code { insts: &insts };
-        let m = match_rsp_guard(&code, 0).expect("must match");
-        assert_eq!(m.end_idx, 7);
-        assert_eq!(match_any(&code, 0).unwrap().kind, TemplateKind::RspGuard);
-    }
-
-    #[test]
-    fn cfi_checked_roundtrip() {
-        let mut f = MFunction::new("t");
-        emit_cfi_branch(&mut f, Reg::R10, true, true);
-        f.real(Inst::Halt);
-        let insts = roundtrip(f, &[]);
-        let code = Code { insts: &insts };
-        let m = match_cfi_checked(&code, 0).expect("must match");
-        assert_eq!(m.subject_idx, Some(6));
-        assert!(matches!(code.inst(6), Some(Inst::CallInd { reg: Reg::R10 })));
-    }
-
-    #[test]
-    fn cfi_unchecked_roundtrip() {
-        let mut f = MFunction::new("t");
-        emit_cfi_branch(&mut f, Reg::R10, false, false);
-        f.real(Inst::Halt);
-        let insts = roundtrip(f, &[]);
-        let code = Code { insts: &insts };
-        let m = match_cfi_unchecked(&code, 0).expect("must match");
-        assert_eq!(m.subject_idx, Some(2));
-        assert!(matches!(code.inst(2), Some(Inst::JmpInd { reg: Reg::R10 })));
-        assert_eq!(match_any(&code, 0).unwrap().kind, TemplateKind::CfiUnchecked);
-    }
-
-    #[test]
-    fn prologue_epilogue_roundtrip() {
-        let mut f = MFunction::new("t");
-        emit_prologue(&mut f);
-        emit_epilogue_and_ret(&mut f);
-        let insts = roundtrip(f, &[]);
-        let code = Code { insts: &insts };
-        let p = match_prologue(&code, 0).expect("prologue must match");
-        assert_eq!(p.end_idx, 5);
-        let e = match_epilogue(&code, 6).expect("epilogue must match");
-        assert_eq!(e.subject_idx, Some(14));
-        assert!(matches!(code.inst(14), Some(Inst::Ret)));
-        // match_any disambiguates the shared PH_SS_SLOT signature.
-        assert_eq!(match_any(&code, 0).unwrap().kind, TemplateKind::Prologue);
-        assert_eq!(match_any(&code, 6).unwrap().kind, TemplateKind::Epilogue);
-    }
-
-    #[test]
-    fn aex_check_roundtrip() {
-        let mut f = MFunction::new("t");
-        emit_aex_check(&mut f);
-        f.real(Inst::Halt);
-        let insts = roundtrip(f, &[]);
-        let code = Code { insts: &insts };
-        let m = match_aex_check(&code, 0).expect("must match");
-        assert_eq!(m.end_idx, 19);
-        assert_eq!(match_any(&code, 0).unwrap().kind, TemplateKind::AexCheck);
-        // The instruction after the template is the halt.
-        assert!(matches!(code.inst(20), Some(Inst::Halt)));
+        emit_template(&mut f, TemplateKind::Prologue, None);
+        emit_template(&mut f, TemplateKind::Epilogue, None);
+        let insts = roundtrip(f);
+        let p = match_any(&insts, 0).expect("prologue must match");
+        assert_eq!((p.kind, p.end_idx, p.subject_idx), (TemplateKind::Prologue, 5, None));
+        let e = match_any(&insts, 6).expect("epilogue must match");
+        assert_eq!((e.kind, e.subject_idx), (TemplateKind::Epilogue, Some(14)));
+        assert!(matches!(insts[14].1, Inst::Ret));
     }
 
     #[test]
     #[should_panic(expected = "rsp-relative")]
     fn store_guard_refuses_rsp_operands() {
         let mut f = MFunction::new("t");
-        emit_store_guard(&mut f, &MemOperand::base_disp(Reg::RSP, 8));
+        let store = Inst::Store { mem: MemOperand::base_disp(Reg::RSP, 8), src: Reg::RAX };
+        emit_template(&mut f, TemplateKind::StoreGuard, Some(store));
     }
 
     #[test]
     fn tampered_placeholder_rejected() {
         let mut f = MFunction::new("t");
-        emit_rsp_guard(&mut f);
+        emit_template(&mut f, TemplateKind::RspGuard, None);
         f.real(Inst::Halt);
         let p = MirProgram {
             entry: "t".into(),
@@ -829,9 +546,7 @@ mod tests {
         let mut obj = assemble(&p).unwrap();
         // Flip one byte of the PH_STACK_LO immediate (starts at offset 2).
         obj.text[4] ^= 1;
-        let d = disassemble(&obj.text, 0, &[]).unwrap();
-        let insts: Vec<_> = d.insts().to_vec();
-        let code = Code { insts: &insts };
-        assert!(match_rsp_guard(&code, 0).is_none());
+        let insts = disassemble(&obj.text, 0, &[]).unwrap().insts().to_vec();
+        assert!(match_any(&insts, 0).is_none());
     }
 }

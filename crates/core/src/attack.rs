@@ -7,9 +7,9 @@
 //! and the `malicious_provider` example drive the corpus through the
 //! consumer pipeline and assert on the exact outcome.
 
-use crate::annotations;
+use crate::annotations::{self, TemplateKind};
 use crate::policy::PolicySet;
-use crate::producer::{instrument, produce_from_mir, produce_stripped_mir};
+use crate::producer::{emit_template, instrument, produce_from_mir, produce_stripped_mir};
 use deflection_isa::{AluOp, CondCode, Inst, MemOperand, Reg};
 use deflection_lang::mir::{MFunction, MInst, MirProgram};
 use deflection_obj::ObjectFile;
@@ -77,8 +77,11 @@ pub fn wrong_operand_guard() -> Attack {
     let mut main = MFunction::new("__start");
     main.real(Inst::MovRI { dst: Reg::RCX, imm: 0x2000_0000 });
     main.real(Inst::MovRI { dst: Reg::RDX, imm: 0x100 });
-    annotations::emit_store_guard(&mut main, &MemOperand::base_disp(Reg::RCX, 0));
-    main.real(Inst::Store { mem: MemOperand::base_disp(Reg::RDX, 0), src: Reg::RAX });
+    let guarded = Inst::Store { mem: MemOperand::base_disp(Reg::RCX, 0), src: Reg::RAX };
+    emit_template(&mut main, TemplateKind::StoreGuard, Some(guarded));
+    // Retarget the guarded store; the guard still checks [rcx].
+    *main.insts.last_mut().expect("the guard ends in its store") =
+        MInst::Real(Inst::Store { mem: MemOperand::base_disp(Reg::RDX, 0), src: Reg::RAX });
     main.real(Inst::Halt);
     let obj =
         produce_from_mir(&mir_program(vec![main], vec![]), &PolicySet::none()).expect("assembles");

@@ -41,7 +41,8 @@ pub enum AuditKind {
     /// first 8 bytes of its code hash (little-endian).
     Install = 1,
     /// A run ended in a policy fault (guard trip, denied OCall, …); `arg`
-    /// is the instruction count at the trip.
+    /// names the policy: the annotation's abort code
+    /// (`policy::abort_codes`), or 0 for a hardware fault.
     GuardTrip = 2,
     /// A run experienced injected asynchronous exits; `arg` is the count.
     AexInjected = 3,

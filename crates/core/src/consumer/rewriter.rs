@@ -8,8 +8,12 @@
 //! program code, so a program that happens to contain a placeholder-looking
 //! constant is unaffected.
 
-use crate::annotations::{Instance, TemplateKind};
+use crate::annotations::{
+    Step, PH_AEX_MAX, PH_AEX_SLOT, PH_BT_BASE, PH_BT_LEN, PH_SSA_MARKER, PH_SS_SLOT, PH_STACK_HI,
+    PH_STACK_LO, PH_STORE_HI, PH_STORE_LO,
+};
 use crate::consumer::verifier::Verified;
+use deflection_isa::{Inst, Reg};
 use deflection_sgx_sim::layout::EnclaveLayout;
 use deflection_sgx_sim::mem::Memory;
 
@@ -58,53 +62,42 @@ impl Bindings {
     }
 }
 
-/// `(instruction index relative to instance start, placeholder role)` pairs
-/// of the `MovRI` placeholders each template carries.
-fn placeholder_sites(kind: TemplateKind) -> &'static [(usize, PlaceholderRole)] {
-    match kind {
-        TemplateKind::StoreGuard => &[(3, PlaceholderRole::StoreLo), (7, PlaceholderRole::StoreHi)],
-        TemplateKind::RspGuard => &[(0, PlaceholderRole::StackLo), (4, PlaceholderRole::StackHi)],
-        TemplateKind::CfiChecked => &[(0, PlaceholderRole::BtLen), (4, PlaceholderRole::BtBase)],
-        TemplateKind::CfiUnchecked => &[(0, PlaceholderRole::BtBase)],
-        TemplateKind::Prologue | TemplateKind::Epilogue => &[(0, PlaceholderRole::SsSlot)],
-        TemplateKind::AexCheck => &[
-            (0, PlaceholderRole::SsaMarker),
-            (10, PlaceholderRole::AexSlot),
-            (14, PlaceholderRole::AexMax),
-            (18, PlaceholderRole::SsaMarker),
-        ],
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlaceholderRole {
-    StoreLo,
-    StoreHi,
-    StackLo,
-    StackHi,
-    BtBase,
-    BtLen,
-    SsSlot,
-    SsaMarker,
-    AexSlot,
-    AexMax,
-}
-
-impl PlaceholderRole {
-    fn value(self, b: &Bindings) -> u64 {
-        match self {
-            PlaceholderRole::StoreLo => b.store_lo,
-            PlaceholderRole::StoreHi => b.store_hi,
-            PlaceholderRole::StackLo => b.stack_lo,
-            PlaceholderRole::StackHi => b.stack_hi,
-            PlaceholderRole::BtBase => b.bt_base,
-            PlaceholderRole::BtLen => b.bt_len,
-            PlaceholderRole::SsSlot => b.ss_slot,
-            PlaceholderRole::SsaMarker => b.ssa_marker,
-            PlaceholderRole::AexSlot => b.aex_slot,
-            PlaceholderRole::AexMax => b.aex_max,
+impl Bindings {
+    /// The value bound to the placeholder immediate `ph`; any other
+    /// immediate maps to itself.
+    fn value(&self, ph: u64) -> u64 {
+        match ph {
+            PH_STORE_LO => self.store_lo,
+            PH_STORE_HI => self.store_hi,
+            PH_STACK_LO => self.stack_lo,
+            PH_STACK_HI => self.stack_hi,
+            PH_BT_BASE => self.bt_base,
+            PH_BT_LEN => self.bt_len,
+            PH_SS_SLOT => self.ss_slot,
+            PH_SSA_MARKER => self.ssa_marker,
+            PH_AEX_SLOT => self.aex_slot,
+            PH_AEX_MAX => self.aex_max,
+            _ => ph,
         }
     }
+}
+
+/// `(instruction index, register, bound value)` of every placeholder
+/// `MovRI` in the verified instances: each template's `MovRI` steps, which
+/// the verifier matched exactly.
+fn placeholders<'a>(
+    verified: &'a Verified,
+    bindings: &'a Bindings,
+) -> impl Iterator<Item = (usize, Reg, u64)> + 'a {
+    verified.instances.iter().flat_map(move |instance| {
+        let steps = instance.kind.template().steps.iter().enumerate();
+        steps.filter_map(move |(k, step)| match *step {
+            Step::Is(Inst::MovRI { dst, imm }) => {
+                Some((instance.start_idx + k, dst, bindings.value(imm)))
+            }
+            _ => None,
+        })
+    })
 }
 
 /// The post-rewrite instruction stream: the verifier's decoded instructions
@@ -117,20 +110,10 @@ impl PlaceholderRole {
 /// and pre-warming from the verifier's own decode means execution never
 /// pays for a third pass.
 #[must_use]
-pub fn rewritten_insts(
-    verified: &Verified,
-    bindings: &Bindings,
-) -> Vec<(usize, deflection_isa::Inst, usize)> {
+pub fn rewritten_insts(verified: &Verified, bindings: &Bindings) -> Vec<(usize, Inst, usize)> {
     let mut insts = verified.disassembly.insts().to_vec();
-    for instance in &verified.instances {
-        for &(rel_idx, role) in placeholder_sites(instance.kind) {
-            let idx = instance.start_idx + rel_idx;
-            if let deflection_isa::Inst::MovRI { dst, .. } = insts[idx].1 {
-                insts[idx].1 = deflection_isa::Inst::MovRI { dst, imm: role.value(bindings) };
-            } else {
-                debug_assert!(false, "placeholder site must be a MovRI (verifier checked)");
-            }
-        }
+    for (idx, dst, imm) in placeholders(verified, bindings) {
+        insts[idx].1 = Inst::MovRI { dst, imm };
     }
     insts
 }
@@ -140,35 +123,17 @@ pub fn rewritten_insts(
 ///
 /// `code_base` is the virtual address the verified code image starts at.
 pub fn rewrite(mem: &mut Memory, code_base: u64, verified: &Verified, bindings: &Bindings) {
-    for instance in &verified.instances {
-        rewrite_instance(mem, code_base, verified, instance, bindings);
-    }
-}
-
-fn rewrite_instance(
-    mem: &mut Memory,
-    code_base: u64,
-    verified: &Verified,
-    instance: &Instance,
-    bindings: &Bindings,
-) {
-    for &(rel_idx, role) in placeholder_sites(instance.kind) {
-        let idx = instance.start_idx + rel_idx;
-        let (offset, inst, _) = verified.disassembly.insts()[idx];
-        debug_assert!(
-            matches!(inst, deflection_isa::Inst::MovRI { .. }),
-            "placeholder site must be a MovRI (verifier checked the template)"
-        );
+    for (idx, _, imm) in placeholders(verified, bindings) {
         // MovRI encoding: opcode byte, register byte, then the 64-bit imm.
-        let imm_va = code_base + offset as u64 + 2;
-        mem.poke_u64(imm_va, role.value(bindings)).expect("verified code is mapped");
+        let imm_va = code_base + verified.disassembly.insts()[idx].0 as u64 + 2;
+        mem.poke_u64(imm_va, imm).expect("verified code is mapped");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotations::{PH_STORE_HI, PH_STORE_LO};
+    use crate::annotations::PLACEHOLDER_IMMS;
     use crate::consumer::verifier::verify;
     use crate::policy::PolicySet;
     use crate::producer::produce;
@@ -204,9 +169,8 @@ mod tests {
         let d = deflection_isa::disassemble(&code2, entry, &loaded.ibt_offsets).unwrap();
         let mut saw_lo = false;
         for (_, inst, _) in d.insts() {
-            if let deflection_isa::Inst::MovRI { imm, .. } = inst {
-                assert_ne!(*imm, PH_STORE_LO, "placeholder must be rewritten");
-                assert_ne!(*imm, PH_STORE_HI);
+            if let Inst::MovRI { imm, .. } = inst {
+                assert!(!PLACEHOLDER_IMMS.contains(imm), "placeholder {imm:#x} must be rewritten");
                 if *imm == bindings.store_lo {
                     saw_lo = true;
                 }
@@ -218,7 +182,7 @@ mod tests {
         // of the patched memory actually sees — this is the contract the
         // icache pre-warm path depends on.
         let predicted = rewritten_insts(&verified, &bindings);
-        let actual: Vec<(usize, deflection_isa::Inst, usize)> = d.insts().to_vec();
+        let actual: Vec<(usize, Inst, usize)> = d.insts().to_vec();
         assert_eq!(predicted, actual);
     }
 

@@ -12,7 +12,7 @@
 //! copy of the binary.
 
 use crate::annotations::{
-    elision_analysis_config, is_exempt_frame_store, match_any, Code, Instance, TemplateKind,
+    elision_analysis_config, is_exempt_frame_store, match_any, Instance, TemplateKind,
 };
 use crate::policy::PolicySet;
 use deflection_analysis::Analysis;
@@ -392,7 +392,7 @@ fn discover_impl(
             i += 1;
             continue;
         }
-        if let Some(inst) = match_any(&Code { insts }, i) {
+        if let Some(inst) = match_any(insts, i) {
             let id = instances.len();
             roles[inst.start_idx..=inst.end_idx].fill(Role::Interior(id));
             if let Some(s) = inst.subject_idx {

@@ -17,8 +17,8 @@
 //!
 //! * [`policy`] — P0–P6 switches ([`policy::PolicySet`]) and the enclave
 //!   [`policy::Manifest`];
-//! * [`annotations`] — the annotation templates (emission *and* matching,
-//!   kept side by side);
+//! * [`annotations`] — the annotation templates, one table of steps that
+//!   the producer emits, the verifier matches and the rewriter patches;
 //! * [`producer`] — instrumentation passes and the
 //!   `source → instrumented object` pipeline;
 //! * [`consumer`] — loader, verifier and immediate rewriter; the

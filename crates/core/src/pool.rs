@@ -1635,12 +1635,13 @@ mod tests {
         use crate::audit::{open_audit_export, AuditKind, AUDIT_CAPACITY};
         let manifest = Manifest::ccaas();
         let (mut pool, bins) = tenants_pool(&manifest, &[ECHO_SUM]);
-        let tripping = corpus()
+        let (code, tripping) = corpus()
             .into_iter()
-            .find(|a| matches!(a.expected, Expected::RuntimeAbort(_)))
-            .unwrap()
-            .binary
-            .serialize();
+            .find_map(|a| match a.expected {
+                Expected::RuntimeAbort(code) => Some((code, a.binary.serialize())),
+                _ => None,
+            })
+            .unwrap();
         pool.install_all(&tripping).unwrap();
         let trip = pool.serve_on(0, b"", 1_000_000).unwrap();
         assert!(matches!(trip.exit, RunExit::PolicyAbort { .. }), "{:?}", trip.exit);
@@ -1654,8 +1655,8 @@ mod tests {
         let sealed = w.enclave.ecall_export_audit().unwrap();
         let log = open_audit_export(&[3; 32], 0, counter, &sealed).unwrap();
         assert!(
-            log.events.iter().any(|e| e.kind == AuditKind::GuardTrip),
-            "the trip was evicted: {:?}",
+            log.events.iter().any(|e| e.kind == AuditKind::GuardTrip && e.arg == u64::from(code)),
+            "the trip was evicted or names the wrong policy: {:?}",
             log.events
         );
         assert_eq!(log.dropped(), 0, "switches add no audit events");

@@ -5,22 +5,22 @@
 //! (Section IV-C): all analysis and rewriting happens here, so the
 //! in-enclave consumer only needs to *recognize* the result. One pass per
 //! policy, driven by [`PolicySet`] switches exactly like the paper's
-//! IR-level switches (Fig. 4):
+//! IR-level switches (Fig. 4). Each pass implants one of the
+//! [`annotations::TEMPLATES`] with [`emit_template`]:
 //!
-//! * **P1/P3/P4** — [`annotations::emit_store_guard`] before every
-//!   store (`MachineInstr::mayStore()` analogue: [`Inst::stored_mem`]);
-//! * **P2** — [`annotations::emit_rsp_guard`] after every explicit write to
-//!   `rsp`;
+//! * **P1/P3/P4** — the store guard, around every store
+//!   (`MachineInstr::mayStore()` analogue: [`Inst::stored_mem`]);
+//! * **P2** — the stack-pointer guard after every explicit write to `rsp`;
 //! * **P5** — branch-table lowering of indirect branches (with the bounds
 //!   check when enabled), plus shadow-stack prologue/epilogue;
-//! * **P6** — [`annotations::emit_aex_check`] at every basic-block entry
-//!   and at least every `q` program instructions.
+//! * **P6** — the AEX marker check at every basic-block entry and at least
+//!   every `q` program instructions.
 
-use crate::annotations::{self, elision_analysis_config, TemplateKind};
+use crate::annotations::{self, elision_analysis_config, table_entry, Step, TemplateKind};
 use crate::consumer::{resolve, verify, verify_with_layout};
 use crate::policy::PolicySet;
 use deflection_analysis::Analysis;
-use deflection_isa::Inst;
+use deflection_isa::{Inst, Reg};
 use deflection_lang::mir::{MFunction, MInst, MirProgram};
 use deflection_lang::CompileError;
 use deflection_obj::{link, LinkError, ObjectFile};
@@ -107,6 +107,66 @@ struct GuardOrdinals {
     rsp: usize,
 }
 
+/// Emits `kind`'s template into `f`, step by step as
+/// [`annotations::TEMPLATES`] lists it. `subject` is the guarded
+/// instruction: the store a store guard checks (its operand fills the
+/// `lea`), or the `call`/`jmp` a branch-table lowering ends in (its register
+/// fills the table fetch); the other templates take none. Each jump lands
+/// on a label placed before its target step, and the epilogue's `ret` is
+/// pushed as [`MInst::Ret`].
+///
+/// # Panics
+///
+/// Panics if a store guard's operand uses `rsp` (the guard's `lea` would
+/// observe a shifted stack pointer), if a lowering's register is the `r11`
+/// scratch, or if `subject` does not fit the template. The DCL code
+/// generator produces none of these.
+pub fn emit_template(f: &mut MFunction, kind: TemplateKind, subject: Option<Inst>) {
+    let steps = kind.template().steps;
+    let mut labels = vec![None; steps.len() + 1];
+    for step in steps {
+        if let Step::Jcc(_, n) = step {
+            labels[*n] = Some(f.new_label());
+        }
+    }
+    let mem = subject.as_ref().and_then(Inst::stored_mem).copied();
+    let reg = match subject {
+        Some(Inst::CallInd { reg } | Inst::JmpInd { reg }) => Some(reg),
+        _ => None,
+    };
+    for (k, label) in labels.iter().enumerate() {
+        if let Some(label) = label {
+            f.push(MInst::Label(*label));
+        }
+        let Some(step) = steps.get(k) else { break };
+        f.push(match *step {
+            Step::Is(Inst::Ret) => MInst::Ret,
+            Step::Is(inst) => MInst::Real(inst),
+            Step::Jcc(cc, n) => MInst::Jcc(cc, labels[n].expect("every jump target is labelled")),
+            Step::LeaRax => {
+                let mem = mem.expect("a store guard needs its store");
+                assert!(!mem.uses(Reg::RSP), "store guard cannot check rsp-relative stores");
+                MInst::Real(Inst::Lea { dst: Reg::RAX, mem })
+            }
+            Step::CmpR11 => MInst::Real(Inst::CmpRR {
+                lhs: reg.expect("a lowering needs its branch"),
+                rhs: Reg::R11,
+            }),
+            Step::LoadTable => {
+                let reg = reg.expect("a lowering needs its branch");
+                assert!(
+                    reg != Reg::R11,
+                    "indirect-branch register must not be the annotation scratch"
+                );
+                MInst::Real(Inst::Load { dst: reg, mem: table_entry(reg) })
+            }
+            Step::StoreToM | Step::BranchR => {
+                MInst::Real(subject.expect("the template guards a subject"))
+            }
+        });
+    }
+}
+
 fn instrument_function(
     orig: &MFunction,
     policy: &PolicySet,
@@ -118,12 +178,13 @@ fn instrument_function(
     f.reserve_labels(orig.label_watermark());
 
     if policy.cfi && !is_entry {
-        annotations::emit_prologue(&mut f);
+        emit_template(&mut f, TemplateKind::Prologue, None);
     }
     if policy.aex {
-        annotations::emit_aex_check(&mut f);
+        emit_template(&mut f, TemplateKind::AexCheck, None);
     }
 
+    let lowering = if policy.cfi { TemplateKind::CfiChecked } else { TemplateKind::CfiUnchecked };
     let mut since_check: u32 = 0;
     for (item_idx, item) in orig.insts.iter().enumerate() {
         if policy.aex
@@ -131,27 +192,29 @@ fn instrument_function(
             && is_program_instruction(item)
             && safe_insertion_point(item)
         {
-            annotations::emit_aex_check(&mut f);
+            emit_template(&mut f, TemplateKind::AexCheck, None);
             since_check = 0;
         }
         match item {
             MInst::Label(l) => {
                 f.push(MInst::Label(*l));
                 if policy.aex {
-                    annotations::emit_aex_check(&mut f);
+                    emit_template(&mut f, TemplateKind::AexCheck, None);
                     since_check = 0;
                 }
             }
             MInst::Real(inst) => {
                 if let Some(mem) = inst.stored_mem() {
+                    let mut guard = false;
                     if policy.store_bounds && !annotations::is_exempt_frame_store(mem) {
-                        let skip = plan.is_some_and(|p| p.store_skip.contains(&ord.store));
+                        guard = !plan.is_some_and(|p| p.store_skip.contains(&ord.store));
                         ord.store += 1;
-                        if !skip {
-                            annotations::emit_store_guard(&mut f, mem);
-                        }
                     }
-                    f.real(*inst);
+                    if guard {
+                        emit_template(&mut f, TemplateKind::StoreGuard, Some(*inst));
+                    } else {
+                        f.real(*inst);
+                    }
                 } else if inst.writes_rsp_explicitly() {
                     f.real(*inst);
                     if policy.rsp_integrity {
@@ -171,7 +234,7 @@ fn instrument_function(
                         });
                         ord.rsp += 1;
                         if !skip {
-                            annotations::emit_rsp_guard(&mut f);
+                            emit_template(&mut f, TemplateKind::RspGuard, None);
                         }
                     }
                 } else {
@@ -180,16 +243,16 @@ fn instrument_function(
                 since_check += 1;
             }
             MInst::CallReg(reg) => {
-                annotations::emit_cfi_branch(&mut f, *reg, true, policy.cfi);
+                emit_template(&mut f, lowering, Some(Inst::CallInd { reg: *reg }));
                 since_check += 1;
             }
             MInst::JmpReg(reg) => {
-                annotations::emit_cfi_branch(&mut f, *reg, false, policy.cfi);
+                emit_template(&mut f, lowering, Some(Inst::JmpInd { reg: *reg }));
                 since_check += 1;
             }
             MInst::Ret => {
                 if policy.cfi {
-                    annotations::emit_epilogue_and_ret(&mut f);
+                    emit_template(&mut f, TemplateKind::Epilogue, None);
                 } else {
                     f.push(MInst::Ret);
                 }

@@ -871,7 +871,9 @@ impl BootstrapEnclave {
         // Policy-relevant outcomes land in the in-enclave audit ring; they
         // leave the enclave only via the sealed, budget-charged export.
         if matches!(exit, RunExit::PolicyAbort { .. } | RunExit::Fault(_)) {
-            self.host.audit.record(AuditKind::GuardTrip, stats.instructions);
+            // The trip names its policy: the abort code, 0 for a fault.
+            let code = if let RunExit::PolicyAbort { code } = exit { code } else { 0 };
+            self.host.audit.record(AuditKind::GuardTrip, code.into());
         }
         if stats.aex_injected > 0 {
             self.host.audit.record(AuditKind::AexInjected, stats.aex_injected);

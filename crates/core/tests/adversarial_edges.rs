@@ -1,10 +1,11 @@
 //! Adversarial edge cases surfaced by design review — each probes one
 //! specific boundary of the verifier's rule set.
 
+use deflection_core::annotations::{TemplateKind, PH_STACK_HI, PH_STACK_LO};
 use deflection_core::consumer::verifier::{verify, VerifyError};
-use deflection_core::policy::PolicySet;
-use deflection_core::producer::produce_from_mir;
-use deflection_isa::{Inst, MemOperand, Reg};
+use deflection_core::policy::{abort_codes, PolicySet};
+use deflection_core::producer::{emit_template, produce_from_mir};
+use deflection_isa::{CondCode, Inst, MemOperand, Reg};
 use deflection_lang::mir::{MFunction, MInst, MirProgram};
 
 fn program_of(functions: Vec<MFunction>, ibt: Vec<String>) -> MirProgram {
@@ -23,8 +24,8 @@ fn ibt_entry_pointing_into_annotation_rejected() {
     // A malicious proof list naming a symbol placed inside a store guard
     // would let indirect jumps skip the bounds check.
     let mut f = MFunction::new("__start");
-    deflection_core::annotations::emit_store_guard(&mut f, &MemOperand::base_disp(Reg::RCX, 0));
-    f.real(Inst::Store { mem: MemOperand::base_disp(Reg::RCX, 0), src: Reg::RAX });
+    let store = Inst::Store { mem: MemOperand::base_disp(Reg::RCX, 0), src: Reg::RAX };
+    emit_template(&mut f, TemplateKind::StoreGuard, Some(store));
     f.real(Inst::Halt);
     let mir = program_of(vec![f], vec![]);
     let mut obj = produce_from_mir(&mir, &PolicySet::none()).unwrap();
@@ -81,6 +82,31 @@ fn pop_rsp_requires_p2_guard() {
         verify_full(&obj, &PolicySet::p1_p2()),
         Err(VerifyError::UnguardedRspWrite { .. })
     ));
+}
+
+#[test]
+fn rsp_guard_jump_must_land_right_past_its_abort() {
+    // A P2 guard whose second `jbe` hops over its abort *and* some bytes
+    // no path reaches, to later code: the next listed instruction, but not
+    // the byte right past the abort, so it is no guard.
+    let mut f = MFunction::new("__start");
+    let (ok, later) = (f.new_label(), f.new_label());
+    f.real(Inst::Lea { dst: Reg::RSP, mem: MemOperand::base_disp(Reg::RAX, 64) });
+    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_STACK_LO });
+    f.real(Inst::CmpRR { lhs: Reg::RSP, rhs: Reg::R11 });
+    f.push(MInst::Jcc(CondCode::Ae, ok));
+    f.real(Inst::Abort { code: abort_codes::RSP_BOUNDS });
+    f.push(MInst::Label(ok));
+    f.real(Inst::MovRI { dst: Reg::R11, imm: PH_STACK_HI });
+    f.real(Inst::CmpRR { lhs: Reg::RSP, rhs: Reg::R11 });
+    f.push(MInst::Jcc(CondCode::Be, later));
+    f.real(Inst::Abort { code: abort_codes::RSP_BOUNDS });
+    f.real(Inst::Halt); // unreachable, so never disassembled
+    f.push(MInst::Label(later));
+    f.real(Inst::Halt);
+    let obj = produce_from_mir(&program_of(vec![f], vec![]), &PolicySet::none()).unwrap();
+    let err = verify_full(&obj, &PolicySet::p1_p2()).unwrap_err();
+    assert!(matches!(err, VerifyError::UnguardedRspWrite { offset: 0 }), "{err:?}");
 }
 
 #[test]

@@ -47,11 +47,12 @@ cargo test -q
 echo "==> tier-1: counted crates' unit tests (deflection-analysis, deflection-isa)"
 cargo test -q -p deflection-analysis -p deflection-isa
 
-# The fault-injection suites run as part of `cargo test` above, but tier-1
-# names them explicitly so a packaging/bin-filter regression that silently
-# drops them is caught here.
-echo "==> tier-1: chaos/fault-injection suite (pool_chaos, sealed_install)"
-cargo test -q -p deflection-core --test pool_chaos --test sealed_install
+# The core and object crates hold counted files too, and the root
+# `cargo test` above runs none of their tests: the annotation round trips,
+# the rewriter, pool and admission unit tests, and the integration suites
+# (adversarial_edges, verifier_rules, pool_chaos, sealed_install, ...).
+echo "==> tier-1: core and object crates' tests (deflection-core, deflection-obj)"
+cargo test -q -p deflection-core -p deflection-obj
 
 # The verdict oracles pin every verifier verdict (variant and offset) and
 # the analysis answers that verifier refactors must keep; named for the

@@ -9,7 +9,7 @@ use deflection_bench::tcb::{counted_lines, TCB_SOURCES};
 /// `#[cfg(test)]`, comment lines skipped). A change that lowers the count
 /// must pin the lower count here in the same change, so the ratchet never
 /// loosens; the test fails in both directions to enforce that.
-const PINNED_PANIC_SITES: usize = 49;
+const PINNED_PANIC_SITES: usize = 47;
 
 /// `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `assert!`,
 /// `assert_eq!` and `assert_ne!` on one line. The `debug_assert*` forms

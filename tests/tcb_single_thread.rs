@@ -18,3 +18,20 @@ fn counted_tcb_names_no_thread_or_sync_module() {
         .collect();
     assert!(offending.is_empty(), "counted TCB lines name std::thread/std::sync: {offending:?}");
 }
+
+/// The producer-side crate (the DCL compiler and its machine IR) never
+/// runs in the enclave, so no counted line may name it: the annotation
+/// templates are plain data, and only the uncounted producer turns them
+/// into machine IR.
+#[test]
+fn counted_tcb_names_no_producer_crate() {
+    let offending: Vec<String> = TCB_SOURCES
+        .iter()
+        .flat_map(|(name, src)| {
+            counted_lines(src)
+                .filter(|l| l.contains("deflection_lang"))
+                .map(move |l| format!("{name}: {l}"))
+        })
+        .collect();
+    assert!(offending.is_empty(), "counted TCB lines name deflection_lang: {offending:?}");
+}
