@@ -46,7 +46,6 @@
 use crate::cfg::{Cfg, Edge, EdgeKind};
 use crate::interval::Interval;
 use deflection_isa::{AluOp, CondCode, Disassembly, Inst, MemOperand, Reg};
-use deflection_telemetry::{Span, METRICS};
 use std::collections::BTreeSet;
 
 const RSP: usize = Reg::RSP as usize;
@@ -573,7 +572,6 @@ impl Analysis {
     /// engine, `Solver`, over different members, seeds and edges.
     #[must_use]
     pub fn run(d: &Disassembly, config: AnalysisConfig) -> Analysis {
-        let _span = Span::start(&METRICS.analysis_run_ns);
         let cfg = Cfg::build(d);
         let n = cfg.blocks.len();
         let mut rpo_pos = vec![usize::MAX; n];

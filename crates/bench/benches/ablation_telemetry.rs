@@ -16,8 +16,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deflection_core::policy::{Manifest, PolicySet};
+use deflection_core::pool::EnclavePool;
 use deflection_core::producer::produce;
-use deflection_core::runtime::{BootstrapEnclave, RunReport};
+use deflection_core::runtime::RunReport;
 use deflection_sgx_sim::layout::{EnclaveLayout, MemConfig};
 use deflection_telemetry::{Collector, Counter, Histogram, Span, METRICS};
 use std::hint::black_box;
@@ -38,15 +39,17 @@ const WORKLOAD: &str = "
     }
 ";
 
-/// One full verify+serve flow: consumer pipeline (install) plus a run.
+/// One full verify+serve flow through a 1-worker pool: the verifying
+/// install (consumer pipeline) plus one served request. The pool is the
+/// host side of both ECalls, where every recording site sits.
 fn verify_and_serve(binary: &[u8]) -> RunReport {
     let mut manifest = Manifest::ccaas();
     manifest.policy = PolicySet::full();
-    let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest);
-    enclave.set_owner_session([0xC4; 32]);
-    enclave.install_plain(binary).expect("bench binary verifies");
-    enclave.provide_input(&[3, 5, 7]).expect("installed");
-    enclave.run(u64::MAX / 2).expect("installed")
+    let mut pool = EnclavePool::new(&EnclaveLayout::new(MemConfig::small()), &manifest, 1);
+    pool.set_owner_session([0xC4; 32]);
+    pool.install_all(binary).expect("bench binary verifies");
+    let mut reports = pool.serve_parallel(&[[3u8, 5, 7]], u64::MAX / 2).expect("installed");
+    reports.pop().expect("one report per request")
 }
 
 /// Median wall time of `runs` repetitions of the flow.

@@ -102,10 +102,7 @@ impl AuditRing {
     ///
     /// Deliberately *not* instrumented: a host-visible counter bumped here
     /// would leak the count and timing of in-run policy events outside the
-    /// sealed, budget-charged export path. Telemetry counts audit events
-    /// only when the owner decodes an authenticated export
-    /// ([`open_audit_export`]), after the information has already left the
-    /// enclave through the charged channel.
+    /// sealed, budget-charged export path.
     pub fn record(&mut self, kind: AuditKind, arg: u64) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -251,12 +248,7 @@ pub fn open_audit_export(
     sealed: &[u8],
 ) -> Result<AuditExport, AuditOpenError> {
     let plain = open_record(key, channel, counter, sealed).map_err(AuditOpenError::Sealed)?;
-    let export = parse_audit_export(&plain)?;
-    // Owner-side, post-release accounting: by the time an export opens the
-    // event count has already left the enclave sealed and budget-charged,
-    // so the counter reveals nothing the owner did not just learn.
-    deflection_telemetry::METRICS.audit_events.add(export.events.len() as u64);
-    Ok(export)
+    parse_audit_export(&plain)
 }
 
 #[cfg(test)]

@@ -18,7 +18,6 @@ use crate::policy::PolicySet;
 use deflection_analysis::Analysis;
 use deflection_isa::{disassemble, DisasmError, Disassembly, Inst, Reg};
 use deflection_sgx_sim::layout::EnclaveLayout;
-use deflection_telemetry::{Span, METRICS};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -171,7 +170,7 @@ pub fn verify(
     indirect_targets: &[usize],
     policy: &PolicySet,
 ) -> Result<Verified, VerifyError> {
-    verify_impl(code, entry, indirect_targets, policy, None)
+    verify_inner(code, entry, indirect_targets, policy, None)
 }
 
 /// Verifies like [`verify`], additionally accepting guard-elided binaries
@@ -197,7 +196,7 @@ pub fn verify_with_layout(
     policy: &PolicySet,
     layout: &EnclaveLayout,
 ) -> Result<Verified, VerifyError> {
-    verify_impl(code, entry, indirect_targets, policy, Some(layout))
+    verify_inner(code, entry, indirect_targets, policy, Some(layout))
 }
 
 /// Back-to-back P2 elision: an explicit `rsp` write needs no guard of its
@@ -257,7 +256,6 @@ struct PhaseErrors {
 /// error of each instruction-independent phase. Scanning ascending means
 /// the recorded error per phase is its lowest-index one.
 fn check_phases(ctx: &CheckCtx<'_>) -> PhaseErrors {
-    let _span = Span::start(&METRICS.verify_checks_ns);
     let mut out = PhaseErrors::default();
     for (idx, &(offset, inst, len)) in ctx.insts.iter().enumerate() {
         if out.branch.is_none() {
@@ -367,7 +365,7 @@ struct Discovery {
     instances: Vec<Instance>,
 }
 
-/// The discovery prefix shared by [`verify_impl`] and [`discover`]: the
+/// The discovery prefix shared by [`verify_inner`] and [`discover`]: the
 /// recursive-descent disassembly followed by the greedy template scan.
 ///
 /// The greedy scan is order-sensitive: a match consumes its instructions
@@ -378,11 +376,7 @@ fn discover_impl(
     entry: usize,
     indirect_targets: &[usize],
 ) -> Result<Discovery, VerifyError> {
-    let disassembly = {
-        let _span = Span::start(&METRICS.verify_disasm_ns);
-        disassemble(code, entry, indirect_targets)?
-    };
-    let _span = Span::start(&METRICS.verify_discovery_ns);
+    let disassembly = disassemble(code, entry, indirect_targets)?;
     let insts = disassembly.insts();
     let mut roles = vec![Role::Program; insts.len()];
     let mut instances: Vec<Instance> = Vec::new();
@@ -430,22 +424,6 @@ pub fn discover(
 ) -> Result<Verified, VerifyError> {
     let d = discover_impl(code, entry, indirect_targets)?;
     Ok(Verified { disassembly: d.disassembly, instances: d.instances })
-}
-
-fn verify_impl(
-    code: &[u8],
-    entry: usize,
-    indirect_targets: &[usize],
-    policy: &PolicySet,
-    layout: Option<&EnclaveLayout>,
-) -> Result<Verified, VerifyError> {
-    let _span = Span::start(&METRICS.verify_ns);
-    let result = verify_inner(code, entry, indirect_targets, policy, layout);
-    match &result {
-        Ok(_) => METRICS.verify_accepts.add(1),
-        Err(_) => METRICS.verify_rejects.add(1),
-    }
-    result
 }
 
 fn verify_inner(

@@ -1,21 +1,24 @@
-//! Host-side flight-recorder and profiler plumbing.
+//! Host-side telemetry, flight-recorder and profiler plumbing.
 //!
 //! Everything here observes facts the untrusted host already witnesses —
 //! the `RunReport` an ECall returns, the profiler arm/collect toggles of
 //! the simulated VM — so it lives outside the counted in-enclave TCB
-//! sources (`table1_tcb`; DESIGN.md §5j). The runtime itself contains no
-//! flight recording sites; the pool calls [`record_run_report`] at its
-//! serve boundary, and verify-phase events are derived inside the telemetry
-//! crate from the verifier's existing span instrumentation.
+//! sources (`table1_tcb`; DESIGN.md §5e, §5j). The runtime and the
+//! verifier contain no recording sites; the pool calls
+//! [`record_run_report`] at its serve boundary.
 
 use crate::runtime::{BootstrapEnclave, RunReport};
 use deflection_sgx_sim::vm::{RunExit, VmProfile};
+use deflection_sgx_sim::Fault;
 use deflection_telemetry::flightrec::{self, EventKind};
+use deflection_telemetry::METRICS;
 
-/// Records the `Run` (and, when output was sealed, `Seal`) flight events
-/// for one completed ECall, attributed to the ambient trace. The payloads
-/// are facts of the report the host is holding: cumulative instruction
-/// count, exit tag, sealed record count and total sealed bytes.
+/// Records one completed ECall's run metrics and its `Run` (and, when
+/// output was sealed, `Seal`) flight events, attributed to the ambient
+/// trace. Every payload is a fact of the report the host is holding:
+/// cumulative instruction count, exit tag, sealed record count, total
+/// sealed bytes (fixed-length ciphertexts, so the padded-away plaintext
+/// length never reaches the metrics plane) and a budget-exhaustion fault.
 pub(crate) fn record_run_report(report: &RunReport) {
     let exit_tag = match &report.exit {
         RunExit::Halted { .. } => 0,
@@ -23,10 +26,17 @@ pub(crate) fn record_run_report(report: &RunReport) {
         RunExit::Fault(_) => 2,
         RunExit::OutOfFuel => 3,
     };
+    if matches!(&report.exit, RunExit::Fault(Fault::OcallFailed { reason, .. })
+        if reason.ends_with("entropy budget exhausted"))
+    {
+        METRICS.run_budget_exhaustions.add(1);
+    }
+    let sealed: usize = report.records.iter().map(Vec::len).sum();
+    METRICS.run_reports.add(1);
+    METRICS.run_sent_bytes.observe(sealed as u64);
     flightrec::record_ambient(EventKind::Run, report.stats.instructions, exit_tag);
     if !report.records.is_empty() {
-        let bytes: usize = report.records.iter().map(Vec::len).sum();
-        flightrec::record_ambient(EventKind::Seal, report.records.len() as u64, bytes as u64);
+        flightrec::record_ambient(EventKind::Seal, report.records.len() as u64, sealed as u64);
     }
 }
 

@@ -748,7 +748,18 @@ impl EnclavePool {
                 hash,
                 *owner_key,
                 |h| prepared.contains_key(h),
-                |enclave| enclave.install_capture(binary),
+                |enclave| {
+                    // The verifier records nothing in-enclave (DESIGN.md
+                    // §5e): the host times the install ECall and reads its
+                    // verdict off the result it returns.
+                    let _span = Span::start(&METRICS.verify_ns);
+                    let result = enclave.install_capture(binary);
+                    match &result {
+                        Ok(_) => METRICS.verify_accepts.add(1),
+                        Err(_) => METRICS.verify_rejects.add(1),
+                    }
+                    result
+                },
             )?;
             self.verifications += 1;
             self.insert_prepared(hash, p);
@@ -777,8 +788,8 @@ impl EnclavePool {
         if !self.prepared.contains_key(hash) {
             return None;
         }
-        // Installs get their own causal ID so verify phases and per-worker
-        // switches group into one lane per install.
+        // Installs get their own causal ID so the per-worker switches
+        // group into one lane per install.
         let tid = TraceId::mint();
         Some(flightrec::with_trace(tid, || {
             METRICS.pool_install_cache_hits.add(1);

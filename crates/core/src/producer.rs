@@ -416,7 +416,7 @@ pub fn elision_plan(
     let strict = PolicySet { elide_guards: false, ..*policy };
     let verified = verify(&text, entry, &ibt, &strict).ok()?;
     let analysis = {
-        let _span = Span::start(&METRICS.produce_analysis_ns);
+        let _span = Span::start(&METRICS.analysis_run_ns);
         Analysis::run(&verified.disassembly, elision_analysis_config(layout))
     };
 

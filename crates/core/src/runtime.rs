@@ -29,7 +29,6 @@ use deflection_sgx_sim::measure::{measure_enclave, Measurement};
 use deflection_sgx_sim::mem::{MemImage, Memory};
 use deflection_sgx_sim::vm::{ExecStats, RunExit, Vm, VmHost};
 use deflection_sgx_sim::Fault;
-use deflection_telemetry::METRICS;
 use std::collections::VecDeque;
 
 /// The public consumer image: stands in for the loader/verifier binary whose
@@ -120,9 +119,9 @@ impl VmHost for HostState {
                 // so a long-lived worker serving many small requests never
                 // exhausts it, while any single run is still capped.
                 // No telemetry here: a counter bumped mid-run would leak the
-                // refusal before the ECall returns. `run()` counts the
-                // exhaustion at the ECall boundary, off the fault reason the
-                // host sees in the report anyway.
+                // refusal before the ECall returns. The pool counts the
+                // exhaustion at its serve boundary, off the fault reason the
+                // host sees in the returned report anyway.
                 if self.sent_bytes + len > self.manifest.output_budget {
                     self.audit.record(AuditKind::RunBudgetExhausted, len as u64);
                     return Err(Fault::OcallFailed {
@@ -602,18 +601,13 @@ impl BootstrapEnclave {
     pub fn ecall_export_audit(&mut self) -> Result<Vec<u8>, EcallError> {
         self.alive()?;
         let key = self.host.owner_key.ok_or(EcallError::NoSession)?;
-        // The refusals below are counted in telemetry at this boundary:
-        // `EcallError::AuditBudget` is itself returned to the host, so the
-        // counter mirrors an already-visible fact.
         if self.host.sent_bytes + AUDIT_EXPORT_LEN > self.manifest.output_budget {
             self.host.audit.record(AuditKind::RunBudgetExhausted, AUDIT_EXPORT_LEN as u64);
-            METRICS.run_budget_exhaustions.add(1);
             return Err(EcallError::AuditBudget);
         }
         if let Some(cap) = self.manifest.lifetime_output_budget {
             if self.host.lifetime_sent_bytes + AUDIT_EXPORT_LEN as u64 > cap {
                 self.host.audit.record(AuditKind::LifetimeBudgetExhausted, AUDIT_EXPORT_LEN as u64);
-                METRICS.run_budget_exhaustions.add(1);
                 return Err(EcallError::AuditBudget);
             }
         }
@@ -623,7 +617,6 @@ impl BootstrapEnclave {
         self.host.send_nonce += 1;
         self.host.sent_bytes += AUDIT_EXPORT_LEN;
         self.host.lifetime_sent_bytes += AUDIT_EXPORT_LEN as u64;
-        METRICS.audit_exports.add(1);
         Ok(sealed)
     }
 
@@ -893,21 +886,6 @@ impl BootstrapEnclave {
                 }
             }
         }
-        // Telemetry sits at the ECall boundary: everything it records here
-        // (bytes sent, budget headroom, the budget-exhaustion fault below)
-        // is already host-visible in the returned report, so the collector
-        // adds no new channel — in-run refusals are counted only once the
-        // report carrying them is handed back.
-        if matches!(&exit, RunExit::Fault(Fault::OcallFailed { reason, .. })
-            if reason.ends_with("entropy budget exhausted"))
-        {
-            METRICS.run_budget_exhaustions.add(1);
-        }
-        METRICS.run_reports.add(1);
-        METRICS.run_sent_bytes.observe(self.host.sent_bytes as u64);
-        METRICS
-            .run_budget_headroom
-            .set(self.manifest.output_budget.saturating_sub(self.host.sent_bytes) as i64);
         Ok(RunReport {
             exit,
             stats,

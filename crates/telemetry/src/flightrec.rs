@@ -4,7 +4,7 @@
 //! Where the metric plane (`crates/telemetry` counters/histograms) answers
 //! *how many* and *how long on average*, the flight recorder answers *what
 //! happened to this request*: every lifecycle stage — enqueue, work-queue
-//! claim, install replay, verifier phase, run, seal, fault, respawn — emits
+//! claim, install, install replay, run, seal, fault, respawn — emits
 //! one fixed-size record stamped with a process-global logical clock and the
 //! request's [`TraceId`], so a drained ring reconstructs into per-request
 //! causal timelines ([`Timeline`]) and exports as chrome://tracing JSON
@@ -15,9 +15,10 @@
 //! Same rule as the metric plane (DESIGN.md §5e/§5j): every recording site
 //! sits at a host-witnessed boundary — pool scheduling decisions, ECall
 //! entry/exit, install replay — never inside a run. The in-enclave paths
-//! (`HostState`, the VM dispatch loops) do not touch the ring, so recording
-//! adds no covert channel beyond the ECall timing the host already sees,
-//! and the exporters never enter the TCB.
+//! (the verifier, `HostState`, the VM dispatch loops) do not touch the
+//! ring, and no event is derived from inside one, so recording adds no
+//! covert channel beyond the ECall timing the host already sees, and the
+//! exporters never enter the TCB.
 //!
 //! # Cost model
 //!
@@ -108,14 +109,11 @@ pub enum EventKind {
     Claim = 2,
     /// A prepared install was replayed into a worker (`a` = worker slot).
     InstallReplay = 3,
-    /// A verifier phase completed (`a` = phase: 0 disasm, 1 discovery,
-    /// 2 checks).
-    VerifyPhase = 4,
     /// An ECall run returned (`a` = instructions executed, `b` = exit tag:
     /// 0 halt, 1 policy abort, 2 fault, 3 out of fuel).
     Run = 5,
     /// Sealed records were produced by a run (`a` = record count, `b` =
-    /// plaintext bytes sent).
+    /// sealed bytes: fixed-length ciphertexts, never the plaintext length).
     Seal = 6,
     /// A worker fault during a run (`a` = worker slot, `b` = reason:
     /// 0 contained fault, 1 lost instance).
@@ -149,7 +147,6 @@ impl EventKind {
             EventKind::Enqueue => "enqueue",
             EventKind::Claim => "claim",
             EventKind::InstallReplay => "install_replay",
-            EventKind::VerifyPhase => "verify_phase",
             EventKind::Run => "run",
             EventKind::Seal => "seal",
             EventKind::Fault => "fault",
@@ -168,7 +165,6 @@ impl EventKind {
             1 => EventKind::Enqueue,
             2 => EventKind::Claim,
             3 => EventKind::InstallReplay,
-            4 => EventKind::VerifyPhase,
             5 => EventKind::Run,
             6 => EventKind::Seal,
             7 => EventKind::Fault,
@@ -210,15 +206,6 @@ impl FlightEvent {
             EventKind::Claim => format!("{}(request={}, worker={})", k.name(), self.a, self.b),
             EventKind::InstallReplay | EventKind::Quarantine | EventKind::Respawn => {
                 format!("{}(worker={})", k.name(), self.a)
-            }
-            EventKind::VerifyPhase => {
-                let phase = match self.a {
-                    0 => "disasm",
-                    1 => "discovery",
-                    2 => "checks",
-                    _ => "?",
-                };
-                format!("{}(phase={phase})", k.name())
             }
             EventKind::Run => {
                 let exit = match self.b {
@@ -313,30 +300,6 @@ pub fn record_ambient(kind: EventKind, a: u64, b: u64) {
 #[must_use]
 pub fn ambient() -> TraceId {
     TraceId(AMBIENT.with(Cell::get))
-}
-
-/// Derives a [`EventKind::VerifyPhase`] event from a span opening on one
-/// of the verifier's phase histograms. The phase histograms are process
-/// statics, so identity comparison maps the span to its phase — this is
-/// how verify-phase events reach the flight ring without adding a single
-/// recording site to the TCB-counted verifier sources (DESIGN.md §5j):
-/// [`crate::Span::start`] calls this for every span, and non-phase
-/// histograms fall through after one pointer compare miss.
-#[inline]
-pub(crate) fn span_phase_marker(hist: &'static crate::Histogram) {
-    if !FLIGHT_ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let phase = if std::ptr::eq(hist, &crate::METRICS.verify_disasm_ns) {
-        0
-    } else if std::ptr::eq(hist, &crate::METRICS.verify_discovery_ns) {
-        1
-    } else if std::ptr::eq(hist, &crate::METRICS.verify_checks_ns) {
-        2
-    } else {
-        return;
-    };
-    record_ambient(EventKind::VerifyPhase, phase, 0);
 }
 
 /// Runs `f` with `trace` as the thread's ambient causal ID, restoring the
@@ -686,12 +649,14 @@ mod tests {
 
     #[test]
     fn describe_names_every_kind() {
-        for k in 1..=14 {
+        // Tag 4 is retired (it named an in-enclave verifier phase).
+        for k in (1..=14).filter(|&k| k != 4) {
             let kind = EventKind::from_u64(k).unwrap();
             let e = FlightEvent { seq: 0, trace: TraceId::NONE, kind, a: 1, b: 2 };
             assert!(e.describe().starts_with(kind.name()), "{kind:?}");
         }
         assert!(EventKind::from_u64(0).is_none());
+        assert!(EventKind::from_u64(4).is_none());
         assert!(EventKind::from_u64(15).is_none());
     }
 }

@@ -7,10 +7,11 @@
 //! # Trust model
 //!
 //! This crate is **untrusted-side observability** and is deliberately kept
-//! out of the in-enclave TCB count. Everything it aggregates — phase
-//! durations, cache hit rates, scheduler decisions — is information the
-//! untrusted host can already observe by timing ECalls and watching its own
-//! scheduler; recording it adds no new covert channel. Policy-relevant
+//! out of the in-enclave TCB count: no counted source links it, and the
+//! host records at its own side of each ECall. Everything it aggregates —
+//! ECall durations, cache hit rates, scheduler decisions — is information
+//! the untrusted host can already observe by timing ECalls and watching its
+//! own scheduler; recording it adds no new covert channel. Policy-relevant
 //! events that the host *cannot* see (guard trips, AEX injections, budget
 //! exhaustions inside a run) are recorded exclusively by the in-enclave
 //! audit ring (`deflection-core::audit`), which exports only sealed,
@@ -493,9 +494,6 @@ impl Span {
     #[must_use]
     pub fn start(hist: &'static Histogram) -> Span {
         let start = if ENABLED.load(Ordering::Relaxed) { Some(Instant::now()) } else { None };
-        // The flight recorder derives verifier phase events from span
-        // identity (one relaxed load when it is disabled).
-        flightrec::span_phase_marker(hist);
         Span { start, hist }
     }
 }
@@ -518,7 +516,6 @@ impl Drop for Span {
 pub struct Metrics {
     // -- untrusted producer (produce_for_layout two-pass pipeline) --------
     pub produce_ns: Histogram,
-    pub produce_analysis_ns: Histogram,
     pub produce_self_verify_ns: Histogram,
     pub produce_elision_fallbacks: Counter,
     pub produce_guards_elided: Counter,
@@ -528,14 +525,11 @@ pub struct Metrics {
     pub producer_opt_loop_bound: Counter,
     pub producer_opt_addr_canon: Counter,
     pub producer_opt_dce: Counter,
-    // -- in-enclave verifier phases (host-observable timings) -------------
+    // -- verifying install ECall (host-timed, verdict off its result) ------
     pub verify_ns: Histogram,
-    pub verify_disasm_ns: Histogram,
-    pub verify_discovery_ns: Histogram,
-    pub verify_checks_ns: Histogram,
     pub verify_accepts: Counter,
     pub verify_rejects: Counter,
-    // -- abstract interpreter (guard elision) ------------------------------
+    // -- producer's abstract interpretation (guard-elision plan) -----------
     pub analysis_run_ns: Histogram,
     // -- enclave pool ------------------------------------------------------
     pub pool_install_cache_hits: Counter,
@@ -568,16 +562,12 @@ pub struct Metrics {
     pub admission_queue_depth: Gauge,
     pub admission_batch_size: Histogram,
     pub admission_wait_ns: Histogram,
-    // -- bootstrap-enclave runtime (per-run P0 accounting) -----------------
+    // -- served run reports (read off the report at the pool boundary) -----
     pub run_reports: Counter,
+    /// Sealed bytes per run: the ciphertexts the host holds, never the
+    /// plaintext length P0 padding hides.
     pub run_sent_bytes: Histogram,
-    pub run_budget_headroom: Gauge,
     pub run_budget_exhaustions: Counter,
-    /// Audit events *decoded by the owner* from an authenticated export —
-    /// never bumped on the in-enclave record path, which must not feed the
-    /// host-visible metrics plane (see the trust model above).
-    pub audit_events: Counter,
-    pub audit_exports: Counter,
     // -- simulated hardware (trace cache / dispatch) -----------------------
     // Hardware-model counters: the events they count (decode-cache
     // behaviour, interrupt-to-interrupt run lengths) are exactly what real
@@ -598,7 +588,6 @@ impl Metrics {
     const fn new() -> Metrics {
         Metrics {
             produce_ns: Histogram::new("deflection_produce_ns", r#"phase="total""#),
-            produce_analysis_ns: Histogram::new("deflection_produce_ns", r#"phase="analysis""#),
             produce_self_verify_ns: Histogram::new(
                 "deflection_produce_ns",
                 r#"phase="self_verify""#,
@@ -632,9 +621,6 @@ impl Metrics {
                 r#"pass="dce""#,
             ),
             verify_ns: Histogram::new("deflection_verify_ns", r#"phase="total""#),
-            verify_disasm_ns: Histogram::new("deflection_verify_ns", r#"phase="disasm""#),
-            verify_discovery_ns: Histogram::new("deflection_verify_ns", r#"phase="discovery""#),
-            verify_checks_ns: Histogram::new("deflection_verify_ns", r#"phase="checks""#),
             verify_accepts: Counter::new("deflection_verify_total", r#"verdict="accept""#),
             verify_rejects: Counter::new("deflection_verify_total", r#"verdict="reject""#),
             analysis_run_ns: Histogram::new("deflection_analysis_run_ns", ""),
@@ -706,13 +692,10 @@ impl Metrics {
             admission_wait_ns: Histogram::new("deflection_admission_wait_ns", ""),
             run_reports: Counter::new("deflection_run_total", ""),
             run_sent_bytes: Histogram::new("deflection_run_sent_bytes", ""),
-            run_budget_headroom: Gauge::new("deflection_run_budget_headroom_bytes", ""),
             run_budget_exhaustions: Counter::new(
                 "deflection_run_events_total",
                 r#"event="budget_exhausted""#,
             ),
-            audit_events: Counter::new("deflection_audit_total", r#"event="decoded""#),
-            audit_exports: Counter::new("deflection_audit_total", r#"event="exported""#),
             vm_dispatch_block_len: Histogram::new("deflection_vm_dispatch_block_len", ""),
             vm_trace_formed: Counter::new("deflection_vm_trace_events_total", r#"event="formed""#),
             vm_trace_chained: Counter::new(
@@ -752,7 +735,7 @@ impl Metrics {
         ]
     }
 
-    fn more_counters(&self) -> [&Counter; 18] {
+    fn more_counters(&self) -> [&Counter; 16] {
         [
             &self.admission_enqueued,
             &self.admission_admitted,
@@ -760,8 +743,6 @@ impl Metrics {
             &self.admission_shed_tenant_in_flight,
             &self.admission_shed_lifetime_budget,
             &self.run_budget_exhaustions,
-            &self.audit_events,
-            &self.audit_exports,
             &self.vm_trace_formed,
             &self.vm_trace_chained,
             &self.vm_trace_side_exits,
@@ -775,20 +756,16 @@ impl Metrics {
         ]
     }
 
-    fn gauges(&self) -> [&Gauge; 2] {
-        [&self.run_budget_headroom, &self.admission_queue_depth]
+    fn gauges(&self) -> [&Gauge; 1] {
+        [&self.admission_queue_depth]
     }
 
-    fn histograms(&self) -> [&Histogram; 10] {
+    fn histograms(&self) -> [&Histogram; 6] {
         [
             &self.admission_wait_ns,
             &self.produce_ns,
-            &self.produce_analysis_ns,
             &self.produce_self_verify_ns,
             &self.verify_ns,
-            &self.verify_disasm_ns,
-            &self.verify_discovery_ns,
-            &self.verify_checks_ns,
             &self.analysis_run_ns,
             &self.pool_serve_batch_ns,
         ]
@@ -1135,12 +1112,17 @@ impl Collector {
 mod tests {
     use super::*;
 
-    /// The global collector is shared by every test in this binary; the
-    /// lock keeps enable/reset windows from interleaving.
-    fn with_collector<R>(f: impl FnOnce() -> R) -> R {
-        use std::sync::{Mutex, OnceLock};
+    /// The global collector is shared by every test in this binary; every
+    /// test that toggles or reads it holds this lock, so enable/reset
+    /// windows never interleave.
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        use std::sync::{Mutex, OnceLock, PoisonError};
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let _guard = LOCK.get_or_init(|| Mutex::new(())).lock().unwrap();
+        LOCK.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn with_collector<R>(f: impl FnOnce() -> R) -> R {
+        let _guard = lock();
         Collector::reset();
         Collector::enable();
         let r = f();
@@ -1177,6 +1159,7 @@ mod tests {
     #[test]
     fn merge_is_a_no_op_while_disabled() {
         static H: Histogram = Histogram::new("test_merge_disabled", "");
+        let _guard = lock();
         let mut local = LocalHistogram::new();
         local.observe(42);
         Collector::disable();
@@ -1207,6 +1190,7 @@ mod tests {
         let c = Counter::new("t", "");
         let h = Histogram::new("t", "");
         let g = Gauge::new("t", "");
+        let _guard = lock();
         assert!(!Collector::is_enabled());
         c.add(5);
         h.observe(7);
@@ -1221,7 +1205,7 @@ mod tests {
         with_collector(|| {
             METRICS.pool_work_queue_claims.add(3);
             METRICS.run_sent_bytes.observe(100);
-            METRICS.run_budget_headroom.set(-4);
+            METRICS.admission_queue_depth.set(-4);
             let snap = Collector::snapshot();
             let claims = snap
                 .samples
@@ -1239,7 +1223,7 @@ mod tests {
             assert!(snap.total_events() >= 4);
             let text = snap.to_prometheus();
             assert!(text.contains("deflection_pool_events_total{event=\"work_queue_claim\"} 3"));
-            assert!(text.contains("deflection_run_budget_headroom_bytes -4"));
+            assert!(text.contains("deflection_admission_queue_depth -4"));
             assert!(text.contains("deflection_run_sent_bytes_bucket{le=\"128\"} 1"));
             let json = snap.to_json();
             assert!(json.contains("\"schema\": \"deflection-metrics-v1\""));
@@ -1274,17 +1258,17 @@ mod tests {
 
     #[test]
     fn span_times_only_when_enabled() {
-        with_collector(|| {
-            {
-                let _s = Span::start(&METRICS.verify_ns);
-            }
-            assert_eq!(METRICS.verify_ns.count(), 1);
-        });
+        let _guard = lock();
+        Collector::reset();
+        Collector::enable();
+        drop(Span::start(&METRICS.verify_ns));
+        assert_eq!(METRICS.verify_ns.count(), 1);
+        Collector::disable();
+        Collector::reset();
         // Disabled: no observation, and the clock is never read.
-        {
-            let s = Span::start(&METRICS.verify_ns);
-            assert!(s.start.is_none());
-        }
+        let s = Span::start(&METRICS.verify_ns);
+        assert!(s.start.is_none());
+        drop(s);
         assert_eq!(METRICS.verify_ns.count(), 0);
     }
 

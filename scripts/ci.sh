@@ -54,6 +54,13 @@ cargo test -q -p deflection-analysis -p deflection-isa
 echo "==> tier-1: core and object crates' tests (deflection-core, deflection-obj)"
 cargo test -q -p deflection-core -p deflection-obj
 
+# The telemetry crate holds the collector, exporters and flight recorder
+# the pool records into; the hardware model holds the remaining VM
+# counters and the traced-vs-reference execution oracles. Neither is
+# reached by the root `cargo test`.
+echo "==> tier-1: telemetry and hardware-model crates' tests (deflection-telemetry, deflection-sgx-sim)"
+cargo test -q -p deflection-telemetry -p deflection-sgx-sim
+
 # The verdict oracles pin every verifier verdict (variant and offset) and
 # the analysis answers that verifier refactors must keep; named for the
 # same reason.

@@ -708,7 +708,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_samples_parse() {
-        let json = "{\n  \"schema\": \"deflection-metrics-v1\",\n  \"samples\": [\n    {\"name\": \"deflection_verify_total\", \"labels\": \"verdict=\\\"accept\\\"\", \"value\": 5},\n    {\"name\": \"deflection_run_budget_headroom_bytes\", \"labels\": \"\", \"value\": -2}\n  ],\n  \"histograms\": []\n}\n";
+        let json = "{\n  \"schema\": \"deflection-metrics-v1\",\n  \"samples\": [\n    {\"name\": \"deflection_verify_total\", \"labels\": \"verdict=\\\"accept\\\"\", \"value\": 5},\n    {\"name\": \"deflection_admission_queue_depth\", \"labels\": \"\", \"value\": -2}\n  ],\n  \"histograms\": []\n}\n";
         let samples = parse_metrics_file(json);
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].labels, "verdict=\"accept\"");

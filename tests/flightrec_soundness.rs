@@ -219,8 +219,9 @@ fn pooled_batch_with_faults_reconstructs_complete_causal_timelines() {
         assert!(lane.events.iter().all(|e| e.trace == lane.trace));
         assert!(!lane.events.is_empty(), "no empty lanes");
         if lane.events.iter().any(|e| e.kind == EventKind::Install) {
-            // The install lane: verify phases and one replay per worker.
-            assert!(lane.events.iter().any(|e| e.kind == EventKind::VerifyPhase));
+            // The install lane: a verifying miss (`b = 0`, recorded at the
+            // host's side of the install ECall) and one replay per worker.
+            assert!(lane.events.iter().any(|e| e.kind == EventKind::Install && e.b == 0));
             let replays = lane.events.iter().filter(|e| e.kind == EventKind::InstallReplay).count();
             assert_eq!(replays, pool.len(), "one replay event per worker");
             continue;
