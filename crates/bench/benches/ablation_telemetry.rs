@@ -15,55 +15,12 @@
 //!   with the collector on and off.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use deflection_core::policy::{Manifest, PolicySet};
-use deflection_core::pool::EnclavePool;
+use deflection_bench::{median_flow_time, verify_and_serve, OVERHEAD_WORKLOAD};
+use deflection_core::policy::PolicySet;
 use deflection_core::producer::produce;
-use deflection_core::runtime::RunReport;
-use deflection_sgx_sim::layout::{EnclaveLayout, MemConfig};
 use deflection_telemetry::{Collector, Counter, Histogram, Span, METRICS};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-const WORKLOAD: &str = "
-    var acc: [int; 64];
-    fn main() -> int {
-        var n: int = input_len();
-        var i: int = 0;
-        while (i < 4096) {
-            acc[i & 63] = acc[i & 63] + i * n;
-            i = i + 1;
-        }
-        output_byte(0, acc[7] & 0xFF);
-        send(1);
-        return acc[7];
-    }
-";
-
-/// One full verify+serve flow through a 1-worker pool: the verifying
-/// install (consumer pipeline) plus one served request. The pool is the
-/// host side of both ECalls, where every recording site sits.
-fn verify_and_serve(binary: &[u8]) -> RunReport {
-    let mut manifest = Manifest::ccaas();
-    manifest.policy = PolicySet::full();
-    let mut pool = EnclavePool::new(&EnclaveLayout::new(MemConfig::small()), &manifest, 1);
-    pool.set_owner_session([0xC4; 32]);
-    pool.install_all(binary).expect("bench binary verifies");
-    let mut reports = pool.serve_parallel(&[[3u8, 5, 7]], u64::MAX / 2).expect("installed");
-    reports.pop().expect("one report per request")
-}
-
-/// Median wall time of `runs` repetitions of the flow.
-fn median_flow_time(binary: &[u8], runs: usize) -> Duration {
-    let mut times: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(verify_and_serve(binary));
-            start.elapsed()
-        })
-        .collect();
-    times.sort();
-    times[times.len() / 2]
-}
 
 /// Disabled-path cost of one instrumentation op, averaged over a tight
 /// loop mixing the three site shapes (counter, histogram, span).
@@ -87,7 +44,7 @@ fn disabled_op_ns() -> f64 {
 fn print_table() {
     println!("\n=== Ablation: telemetry collector overhead on verify+serve ===\n");
     let policy = PolicySet::full();
-    let binary = produce(WORKLOAD, &policy).expect("compiles").serialize();
+    let binary = produce(OVERHEAD_WORKLOAD, &policy).expect("compiles").serialize();
 
     // Verdict/report equality across collector states.
     Collector::disable();
@@ -140,7 +97,7 @@ fn print_table() {
 fn bench(c: &mut Criterion) {
     print_table();
     let policy = PolicySet::full();
-    let binary = produce(WORKLOAD, &policy).expect("compiles").serialize();
+    let binary = produce(OVERHEAD_WORKLOAD, &policy).expect("compiles").serialize();
     Collector::disable();
     c.bench_function("telemetry/verify_serve/off", |b| {
         b.iter(|| black_box(verify_and_serve(&binary)))

@@ -26,8 +26,9 @@ pub mod serving;
 pub mod tcb;
 
 use deflection_core::policy::{Manifest, PolicySet};
+use deflection_core::pool::EnclavePool;
 use deflection_core::producer::{produce, produce_for_layout};
-use deflection_core::runtime::BootstrapEnclave;
+use deflection_core::runtime::{BootstrapEnclave, RunReport};
 use deflection_sgx_sim::layout::{EnclaveLayout, MemConfig};
 use deflection_sgx_sim::vm::{ExecMode, RunExit};
 use std::time::{Duration, Instant};
@@ -120,6 +121,58 @@ pub fn sweep_levels(source: &str, input: &[u8], config: &MemConfig) -> (Sample, 
     let levels =
         PolicySet::levels().iter().map(|(_, p)| measure(source, input, p, config)).collect();
     (baseline, levels)
+}
+
+/// The workload of the observability overhead ablations
+/// (`ablation_telemetry`, `ablation_flightrec`): a 4096-step loop that
+/// sends one record.
+pub const OVERHEAD_WORKLOAD: &str = "
+    var acc: [int; 64];
+    fn main() -> int {
+        var n: int = input_len();
+        var i: int = 0;
+        while (i < 4096) {
+            acc[i & 63] = acc[i & 63] + i * n;
+            i = i + 1;
+        }
+        output_byte(0, acc[7] & 0xFF);
+        send(1);
+        return acc[7];
+    }
+";
+
+/// One full verify+serve flow through a 1-worker pool: the verifying
+/// install (consumer pipeline) plus one served request. The pool is the
+/// host side of both ECalls, where every recording site sits, and a
+/// 1-worker pool serves on the calling thread.
+///
+/// # Panics
+///
+/// Panics if `binary` does not verify or serve — bench fixtures are
+/// trusted.
+#[must_use]
+pub fn verify_and_serve(binary: &[u8]) -> RunReport {
+    let mut manifest = Manifest::ccaas();
+    manifest.policy = PolicySet::full();
+    let mut pool = EnclavePool::new(&EnclaveLayout::new(MemConfig::small()), &manifest, 1);
+    pool.set_owner_session([0xC4; 32]);
+    pool.install_all(binary).expect("bench binary verifies");
+    let mut reports = pool.serve_parallel(&[[3u8, 5, 7]], u64::MAX / 2).expect("installed");
+    reports.pop().expect("one report per request")
+}
+
+/// Median wall time of `runs` repetitions of [`verify_and_serve`].
+#[must_use]
+pub fn median_flow_time(binary: &[u8], runs: usize) -> Duration {
+    let mut times: Vec<Duration> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(verify_and_serve(binary));
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[times.len() / 2]
 }
 
 /// Geometric mean of a set of (1 + overhead) ratios, returned as percent —
